@@ -1,14 +1,27 @@
-//! A deterministic discrete-event queue.
+//! A deterministic discrete-event queue, the slab its large payloads live
+//! in, and the windows of in-flight transmissions.
 //!
-//! Events are ordered by `(time, sequence)`: ties in time are broken by
-//! insertion order, which makes simulation runs fully reproducible — a
-//! property the paper's evaluation protocol depends on (the same 10
-//! networks must evaluate every candidate configuration identically).
+//! # Ordering contract
+//!
+//! [`EventQueue`] pops events in `(time, seq)` order, where `seq` is the
+//! insertion counter: ties in time are broken by insertion order, which
+//! makes simulation runs fully reproducible — a property the paper's
+//! evaluation protocol depends on (the same 10 networks must evaluate
+//! every candidate configuration identically). Time never runs backwards:
+//! [`schedule`](EventQueue::schedule) rejects NaN and any time before the
+//! last popped event.
+//!
+//! # Compact entries
+//!
+//! Every heap sift moves whole entries, so the queue is only as fast as
+//! its entries are small. The simulator keeps its events at 16 bytes
+//! (`u32` node ids, and a `u32` [`Slab`] key instead of the ~88-byte
+//! transmission a frame end refers to), which makes a heap entry 32
+//! bytes: `time`, `seq` and the payload.
 
 use crate::geometry::Vec2;
 use crate::grid::CellGeometry;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 /// A scheduled event.
@@ -19,33 +32,30 @@ struct Entry<E> {
     payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl<E> Entry<E> {
+    /// Whether `self` pops before `other`: earlier time, then lower `seq`
+    /// (`total_cmp`, so the order is total even across `-0.0`/`+0.0`).
+    #[inline(always)]
+    fn before(&self, other: &Self) -> bool {
+        match self.time.total_cmp(&other.time) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => self.seq < other.seq,
+        }
     }
 }
 
-/// Min-heap event queue keyed by simulation time.
+/// Children per heap node. A 4-ary heap is half as deep as a binary one,
+/// and a node's four 32-byte children sit side by side, so a pop walks
+/// half as many levels, each touching one or two adjacent cache lines.
+const ARITY: usize = 4;
+
+/// Min-heap event queue popping in `(time, seq)` order (see the
+/// [module docs](self)): earliest time first, insertion order among equal
+/// times. An implicit 4-ary heap over one vector.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: Vec<Entry<E>>,
     seq: u64,
     now: f64,
 }
@@ -60,7 +70,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time `0`.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             seq: 0,
             now: 0.0,
         }
@@ -79,6 +89,11 @@ impl<E> EventQueue<E> {
         self.now = 0.0;
     }
 
+    /// Reserves room for at least `additional` more pending events.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     /// Schedules `payload` at absolute time `time`.
     ///
     /// # Panics
@@ -93,6 +108,19 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { time, seq, payload });
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Moves the entry at `i` up until its parent pops before it.
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if !self.heap[i].before(&self.heap[parent]) {
+                break;
+            }
+            self.heap.swap(i, parent);
+            i = parent;
+        }
     }
 
     /// Schedules `payload` after a non-negative delay.
@@ -102,7 +130,30 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        let e = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return None;
+        }
+        // The last entry takes the root's place and sifts down.
+        let e = self.heap.swap_remove(0);
+        let n = self.heap.len();
+        let mut i = 0;
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let mut child = first;
+            for c in first + 1..(first + ARITY).min(n) {
+                if self.heap[c].before(&self.heap[child]) {
+                    child = c;
+                }
+            }
+            if !self.heap[child].before(&self.heap[i]) {
+                break;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
         debug_assert!(e.time >= self.now);
         self.now = e.time;
         Some((e.time, e.payload))
@@ -110,7 +161,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.first().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -121,6 +172,91 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+/// Values addressed by dense `u32` keys, with freed keys recycled
+/// last-in-first-out — the home of payloads too large to travel through
+/// the [`EventQueue`] (the simulator's on-air transmissions: an event
+/// carries the key, the slab holds the frame until its end is handled).
+///
+/// Keys stay valid until [`remove`](Self::remove)d; a removed key may be
+/// handed out again by the next [`insert`](Self::insert). Reading or
+/// removing a key that holds no value panics.
+#[derive(Debug, Clone)]
+pub struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> Slab<T> {
+    /// Creates an empty slab.
+    pub fn new() -> Self {
+        Self {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `value` and returns its key.
+    pub fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(key) => {
+                debug_assert!(self.items[key as usize].is_none());
+                self.items[key as usize] = Some(value);
+                key
+            }
+            None => {
+                let key = u32::try_from(self.items.len()).expect("slab key overflow");
+                self.items.push(Some(value));
+                key
+            }
+        }
+    }
+
+    /// Takes the value stored under `key` out of the slab, freeing the
+    /// key for reuse.
+    ///
+    /// # Panics
+    /// Panics if `key` is not occupied.
+    pub fn remove(&mut self, key: u32) -> T {
+        let value = self.items[key as usize]
+            .take()
+            .expect("slab key is not occupied");
+        self.free.push(key);
+        value
+    }
+
+    /// The value stored under `key`.
+    ///
+    /// # Panics
+    /// Panics if `key` is not occupied.
+    pub fn get(&self, key: u32) -> &T {
+        self.items[key as usize]
+            .as_ref()
+            .expect("slab key is not occupied")
+    }
+
+    /// Number of occupied keys.
+    pub fn len(&self) -> usize {
+        self.items.len() - self.free.len()
+    }
+
+    /// Whether no key is occupied.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every value, retaining the allocations.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.free.clear();
     }
 }
 
@@ -714,6 +850,39 @@ mod tests {
         w.prune(2.0);
         let live: Vec<u32> = w.entries_in_order().iter().map(|&(_, _, _, v)| v).collect();
         assert_eq!(live, vec![1, 3]);
+    }
+
+    #[test]
+    fn slab_recycles_keys_and_checks_occupancy() {
+        let mut s: Slab<&str> = Slab::new();
+        let a = s.insert("a");
+        let b = s.insert("b");
+        assert_ne!(a, b);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.remove(a), "a");
+        assert_eq!(*s.get(b), "b");
+        let c = s.insert("c");
+        assert_eq!(c, a, "freed keys are reused");
+        assert_eq!(s.len(), 2);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.insert("d"), 0, "clear restarts the key space");
+    }
+
+    #[test]
+    #[should_panic(expected = "not occupied")]
+    fn slab_double_remove_panics() {
+        let mut s = Slab::new();
+        let k = s.insert(1u8);
+        s.remove(k);
+        s.remove(k);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn scheduling_at_nan_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(f64::NAN, ());
     }
 
     #[test]

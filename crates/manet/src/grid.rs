@@ -377,16 +377,7 @@ impl SpatialGrid {
     /// gather's critical path. No observable effect beyond cache state.
     #[inline]
     pub fn prefetch_bucket(&self, cell: usize) {
-        let p: *const Vec<u32> = &self.buckets[cell];
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is side-effect-free and architecturally valid
-        // for any address.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(p.cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = p;
+        crate::sweep::prefetch(&self.buckets[cell] as *const Vec<u32>);
     }
 
     /// Calls `f(node)` for every node bucketed in `cell`, in

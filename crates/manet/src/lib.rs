@@ -11,9 +11,12 @@
 //!   and static models for extensions,
 //! * [`radio`] — dBm/mW arithmetic and path-loss models (log-distance with
 //!   ns-3's default parameters, plus Friis and two-ray ground),
-//! * [`events`] — a binary-heap event scheduler with stable ordering,
+//! * [`events`] — a 4-ary-heap event scheduler with stable `(time, seq)`
+//!   ordering, the slab its large payloads live in, and the windows of
+//!   in-flight transmissions,
 //! * [`neighbor`] — beacon-maintained one-hop neighbour tables carrying
-//!   received signal strength,
+//!   received signal strength: flat open-addressing stores that evict
+//!   expired entries under monotone time,
 //! * [`protocol`] — the [`Protocol`](protocol::Protocol) trait broadcast
 //!   algorithms implement (AEDB lives in the `aedb` crate; a flooding
 //!   baseline ships here),

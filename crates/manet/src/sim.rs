@@ -77,6 +77,12 @@
 //!   outcomes are merged back in original event order, so reports stay
 //!   **bit-identical at every shard count** (asserted against the naive
 //!   oracle by `tests/determinism.rs` and the property suite).
+//! * **compact beacon bookkeeping**, the layer that dominates dense
+//!   worlds once the query is cheap: neighbour tables are flat
+//!   open-addressing stores that evict stale entries as new neighbours
+//!   arrive ([`crate::neighbor`]), and the event queue is a 4-ary heap of
+//!   32-byte entries whose frame ends carry a [`Slab`] key instead of the
+//!   transmission itself ([`crate::events`]).
 //!
 //! Every mode is a conservative pre-filter followed by the exact
 //! received-power test, so all three produce **bit-identical**
@@ -97,14 +103,14 @@
 //! without per-run heap churn — batched evaluation runs thousands of
 //! simulations per optimizer generation.
 
-use crate::events::{ActiveWindow, EventQueue, SpatialActiveWindow};
+use crate::events::{ActiveWindow, EventQueue, Slab, SpatialActiveWindow};
 use crate::geometry::{Field, Vec2};
 use crate::grid::{CellGeometry, GridStats, SpatialGrid};
 use crate::metrics::{BroadcastMetrics, SimCounters};
 use crate::mobility::{
     AnyMobility, Mobility, MobilityModel, RandomWalk, RandomWaypoint, Stationary,
 };
-use crate::neighbor::{NeighborEntry, NeighborTable};
+use crate::neighbor::{observe_all, NeighborEntry, NeighborTable};
 use crate::protocol::{Protocol, ProtocolApi};
 use crate::radio::{dbm_to_mw, RadioConfig, INTERFERENCE_FLOOR_DB};
 use crate::shard::ShardPool;
@@ -291,22 +297,33 @@ struct Transmission {
     floor_hi_r2: f64,
 }
 
+/// A scheduled simulator event: 16 bytes, so an [`EventQueue`] entry is
+/// 32 (see [`crate::events`]). Node ids are `u32` (worlds are capped
+/// below `u32::MAX` nodes) and a frame end names its [`Transmission`] by
+/// its key in [`World::txs`] instead of carrying it.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    Beacon(NodeId),
-    MobilityChange(NodeId),
-    TxEnd(Transmission),
+    Beacon(u32),
+    MobilityChange(u32),
+    /// End of the transmission stored under this [`World::txs`] key.
+    TxEnd(u32),
     Timer {
-        node: NodeId,
+        node: u32,
         tag: u64,
     },
-    StartBroadcast(NodeId),
+    StartBroadcast(u32),
     /// Earliest possible cell crossing of `node`; stale when `gen` no
     /// longer matches (the node's mobility segment changed since).
     GridRefresh {
-        node: NodeId,
+        node: u32,
         gen: u32,
     },
+}
+
+/// A node id in its compact event form. [`World::reset`] caps node counts
+/// below `u32::MAX`, so the conversion is lossless.
+fn id32(node: NodeId) -> u32 {
+    node as u32
 }
 
 impl FrameKind {
@@ -315,6 +332,45 @@ impl FrameKind {
         match self {
             FrameKind::Beacon => 0,
             FrameKind::Data => 1,
+        }
+    }
+}
+
+/// The power-derived radii of a transmission (see the [`Transmission`]
+/// fields they fill): a pure function of the radio and the transmit power,
+/// so [`World::start_transmission`] memoises the latest one — beacons go
+/// out at a handful of power classes, and each computation costs several
+/// `powf`s.
+#[derive(Debug, Clone, Copy, Default)]
+struct TxRadii {
+    /// ε-inflated interference gating radius (`gate_r2 = gate²`).
+    gate: f64,
+    decode_lo_r2: f64,
+    decode_hi_r2: f64,
+    floor_hi_r2: f64,
+}
+
+impl TxRadii {
+    fn new(radio: &RadioConfig, tx_dbm: f64) -> Self {
+        // Amortise the interference gate over every query this frame will
+        // ever appear in: one `range_for` here instead of a `log10` per
+        // (candidate × active frame) in the delivery loop.
+        let gate = radio.interference_floor_range(tx_dbm) * (1.0 + RANGE_EPSILON) + RANGE_EPSILON;
+        // Log-free decode/floor bands (exact-threshold distances with the
+        // dB-domain comparison reproduced at precompute time): three
+        // `powf`s here buy away a `log10` per candidate×frame pair in the
+        // unshadowed receive tests.
+        let (decode_lo_r2, decode_hi_r2) = radio
+            .path_loss
+            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm);
+        let (_, floor_hi_r2) = radio
+            .path_loss
+            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm - INTERFERENCE_FLOOR_DB);
+        TxRadii {
+            gate,
+            decode_lo_r2,
+            decode_hi_r2,
+            floor_hi_r2,
         }
     }
 }
@@ -365,6 +421,10 @@ struct World {
     /// the horizon-rebuild staleness margin and the half-duplex reach.
     max_speed: f64,
     queue: EventQueue<Event>,
+    /// On-air transmissions, keyed by the [`Event::TxEnd`] that ends
+    /// them: the frame lives here from its start until its end is
+    /// dispatched (or deferred into a sharded batch).
+    txs: Slab<Transmission>,
     mobility: Vec<AnyMobility>,
     tables: Vec<NeighborTable>,
     rng: SmallRng,
@@ -419,6 +479,10 @@ struct World {
     /// `dbm_to_mw(capture_db)`, hoisted out of the per-candidate outcome
     /// test (bit-identical: same input, same `powf`).
     capture_ratio_mw: f64,
+    /// One-entry memo of [`TxRadii::new`] keyed by the transmit power's
+    /// bit pattern (`u64::MAX`, a NaN pattern, when empty; cleared on
+    /// reset because the radio may change).
+    tx_radii_memo: (u64, TxRadii),
     /// Which delivery path resolves receivers (see [`DeliveryMode`]).
     mode: DeliveryMode,
     /// Whether delivery queries sample wall time into the profile.
@@ -618,6 +682,7 @@ impl World {
             node_tx: Vec::new(),
             max_speed: 0.0,
             queue: EventQueue::new(),
+            txs: Slab::new(),
             mobility: Vec::new(),
             tables: Vec::new(),
             rng: SmallRng::seed_from_u64(0),
@@ -637,6 +702,7 @@ impl World {
             max_gate_r: 0.0,
             hd_reach: 0.0,
             capture_ratio_mw: 0.0,
+            tx_radii_memo: (u64::MAX, TxRadii::default()),
             mode: DeliveryMode::default(),
             profile_on: false,
         };
@@ -653,6 +719,10 @@ impl World {
             panic!("{e}");
         }
         let n_nodes = spec.n_nodes();
+        assert!(
+            n_nodes < u32::MAX as usize,
+            "node ids must fit the simulator's u32 event fields"
+        );
         let max_tx = spec.max_tx_dbm();
 
         let cell = grid_cell(&spec.radio, spec.field, max_tx);
@@ -671,9 +741,15 @@ impl World {
         self.refresh_events = 0;
 
         self.queue.clear();
+        self.txs.clear();
         self.rng = SmallRng::seed_from_u64(spec.seed);
         self.mobility.clear();
         self.node_tx.clear();
+        // Size once instead of doubling through the pushes below: every
+        // node queues a beacon, a mobility change and a grid refresh.
+        self.queue.reserve(3 * n_nodes + 1);
+        self.mobility.reserve(n_nodes);
+        self.node_tx.reserve(n_nodes);
         let mut node = 0usize;
         for group in &spec.groups {
             let tx = group.tx_power_dbm.unwrap_or(spec.radio.default_tx_dbm);
@@ -714,26 +790,29 @@ impl World {
                 };
                 if m.next_change().is_finite() {
                     self.queue
-                        .schedule(m.next_change(), Event::MobilityChange(node));
+                        .schedule(m.next_change(), Event::MobilityChange(id32(node)));
                 }
                 self.mobility.push(m);
                 self.node_tx.push(tx);
                 // Desynchronised beacon phases.
                 let offset = self.rng.gen_range(0.0..spec.beacon_interval);
-                self.queue.schedule(offset, Event::Beacon(node));
+                self.queue.schedule(offset, Event::Beacon(id32(node)));
                 node += 1;
             }
         }
-        self.queue
-            .schedule(spec.broadcast_time, Event::StartBroadcast(spec.source));
+        self.queue.schedule(
+            spec.broadcast_time,
+            Event::StartBroadcast(id32(spec.source)),
+        );
 
         if self.tables.len() > n_nodes {
             self.tables.truncate(n_nodes);
         }
         for t in &mut self.tables {
-            t.clear();
+            t.reset(spec.neighbor_expiry);
         }
-        self.tables.resize_with(n_nodes, NeighborTable::new);
+        self.tables
+            .resize_with(n_nodes, || NeighborTable::new(spec.neighbor_expiry));
 
         self.active.clear();
         self.frames.clear();
@@ -748,6 +827,7 @@ impl World {
         // durations), plus a metre of slack — see `hd_reach`'s field docs.
         let max_duration = spec.radio.beacon_duration.max(spec.radio.data_duration);
         self.capture_ratio_mw = dbm_to_mw(spec.radio.capture_db);
+        self.tx_radii_memo.0 = u64::MAX;
         self.max_speed = spec.max_speed();
         self.n_nodes = n_nodes;
         self.spec = spec;
@@ -800,6 +880,7 @@ impl World {
             return;
         }
         let gen = self.refresh_gen[node];
+        let node = id32(node);
         self.queue
             .schedule(now + dt, Event::GridRefresh { node, gen });
     }
@@ -879,21 +960,10 @@ impl World {
             FrameKind::Beacon => self.spec.radio.beacon_duration,
             FrameKind::Data => self.spec.radio.data_duration,
         };
-        // Amortise the interference gate over every query this frame will
-        // ever appear in: one `range_for` here instead of a `log10` per
-        // (candidate × active frame) in the delivery loop.
-        let radio = &self.spec.radio;
-        let gate = radio.interference_floor_range(tx_dbm) * (1.0 + RANGE_EPSILON) + RANGE_EPSILON;
-        // Log-free decode/floor bands (exact-threshold distances with the
-        // dB-domain comparison reproduced at precompute time): three
-        // `powf`s here buy away a `log10` per candidate×frame pair in the
-        // unshadowed receive tests below.
-        let (decode_lo_r2, decode_hi_r2) = radio
-            .path_loss
-            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm);
-        let (_, floor_hi_r2) = radio
-            .path_loss
-            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm - INTERFERENCE_FLOOR_DB);
+        if self.tx_radii_memo.0 != tx_dbm.to_bits() {
+            self.tx_radii_memo = (tx_dbm.to_bits(), TxRadii::new(&self.spec.radio, tx_dbm));
+        }
+        let radii = self.tx_radii_memo.1;
         let tx = Transmission {
             sender: node,
             pos: self.snapshot.position(node, now),
@@ -901,10 +971,10 @@ impl World {
             start: now,
             end: now + duration,
             kind,
-            gate_r2: gate * gate,
-            decode_lo_r2,
-            decode_hi_r2,
-            floor_hi_r2,
+            gate_r2: radii.gate * radii.gate,
+            decode_lo_r2: radii.decode_lo_r2,
+            decode_hi_r2: radii.decode_hi_r2,
+            floor_hi_r2: radii.floor_hi_r2,
         };
         match kind {
             FrameKind::Beacon => self.counters.beacons_sent += 1,
@@ -913,10 +983,11 @@ impl World {
                 self.metrics.record_transmission(node, tx_dbm);
             }
         }
-        self.max_gate_r = self.max_gate_r.max(gate);
+        self.max_gate_r = self.max_gate_r.max(radii.gate);
         self.active.insert(kind.lane(), tx.end, tx);
         self.frames.insert(kind.lane(), tx.end, tx.pos, tx);
-        self.queue.schedule(tx.end, Event::TxEnd(tx));
+        let key = self.txs.insert(tx);
+        self.queue.schedule(tx.end, Event::TxEnd(key));
     }
 
     /// Exact delivery test for receiver `r` under propagation, half-duplex
@@ -1276,9 +1347,13 @@ impl World {
             // Beacon effects, stamped with the query's own end time — the
             // clock the sequential dispatch observes at this TxEnd.
             self.counters.beacons_received += len as u64;
-            for &(r, rx_dbm) in &sd.workers[k].deliveries[start as usize..(start + len) as usize] {
-                self.tables[r].observe(tx.sender, rx_dbm, tx.tx_dbm, tx.end);
-            }
+            observe_all(
+                &mut self.tables,
+                tx.sender,
+                tx.tx_dbm,
+                tx.end,
+                &sd.workers[k].deliveries[start as usize..(start + len) as usize],
+            );
         }
         for w in &mut sd.workers {
             self.counters.half_duplex_losses += w.half_duplex_losses;
@@ -1577,7 +1652,13 @@ impl ProtocolApi for World {
     }
 
     fn set_timer(&mut self, node: NodeId, delay: f64, tag: u64) {
-        self.queue.schedule_in(delay, Event::Timer { node, tag });
+        self.queue.schedule_in(
+            delay,
+            Event::Timer {
+                node: id32(node),
+                tag,
+            },
+        );
     }
 
     fn transmit(&mut self, node: NodeId, tx_dbm: f64) {
@@ -1585,11 +1666,11 @@ impl ProtocolApi for World {
     }
 
     fn neighbors(&self, node: NodeId) -> Vec<NeighborEntry> {
-        self.tables[node].live(self.queue.now(), self.spec.neighbor_expiry)
+        self.tables[node].live(self.queue.now())
     }
 
     fn neighbors_into(&self, node: NodeId, out: &mut Vec<NeighborEntry>) {
-        self.tables[node].live_into(self.queue.now(), self.spec.neighbor_expiry, out);
+        self.tables[node].live_into(self.queue.now(), out);
     }
 
     fn default_tx_dbm(&self) -> f64 {
@@ -1861,13 +1942,14 @@ impl<P: Protocol> Simulator<P> {
             }
             let (_, ev) = self.world.queue.pop().expect("peeked event vanished");
             if self.world.shard.is_some() && self.world.mode == DeliveryMode::Incremental {
-                match &ev {
-                    Event::TxEnd(tx) if tx.kind == FrameKind::Beacon => {
+                match ev {
+                    Event::TxEnd(key) if self.world.txs.get(key).kind == FrameKind::Beacon => {
                         // Beacon deliveries have no same-event side
                         // effects beyond the neighbour-table observes and
                         // loss counters the flush replays in order, so
                         // they can be deferred into the shard batch.
-                        if self.world.defer_beacon_txend(tx) {
+                        let tx = self.world.txs.remove(key);
+                        if self.world.defer_beacon_txend(&tx) {
                             self.world.flush_sharded();
                         }
                         continue;
@@ -1897,7 +1979,8 @@ impl<P: Protocol> Simulator<P> {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
-            Event::Beacon(node) => {
+            Event::Beacon(id) => {
+                let node = id as NodeId;
                 // Beacons go out at the node's power *class* (per-group in
                 // heterogeneous worlds; the radio default otherwise).
                 self.world
@@ -1906,20 +1989,22 @@ impl<P: Protocol> Simulator<P> {
                 // cannot lock in (there is no CSMA in this model).
                 let base = self.world.spec.beacon_interval;
                 let jitter = base * (0.95 + 0.1 * self.world.rng.gen::<f64>());
-                self.world.queue.schedule_in(jitter, Event::Beacon(node));
+                self.world.queue.schedule_in(jitter, Event::Beacon(id));
             }
-            Event::MobilityChange(node) => {
+            Event::MobilityChange(id) => {
+                let node = id as NodeId;
                 self.world.mobility[node].advance(&mut self.world.rng);
                 let next = self.world.mobility[node].next_change();
                 if next.is_finite() {
-                    self.world.queue.schedule(next, Event::MobilityChange(node));
+                    self.world.queue.schedule(next, Event::MobilityChange(id));
                 }
                 self.world.reanchor_grid_refresh(node);
             }
             Event::GridRefresh { node, gen } => {
-                self.world.handle_grid_refresh(node, gen);
+                self.world.handle_grid_refresh(node as NodeId, gen);
             }
-            Event::TxEnd(tx) => {
+            Event::TxEnd(key) => {
+                let tx = self.world.txs.remove(key);
                 let mut deliveries = std::mem::take(&mut self.world.delivery_scratch);
                 deliveries.clear();
                 self.world.compute_deliveries(&tx, &mut deliveries);
@@ -1927,9 +2012,13 @@ impl<P: Protocol> Simulator<P> {
                     FrameKind::Beacon => {
                         let now = self.world.queue.now();
                         self.world.counters.beacons_received += deliveries.len() as u64;
-                        for &(r, rx_dbm) in &deliveries {
-                            self.world.tables[r].observe(tx.sender, rx_dbm, tx.tx_dbm, now);
-                        }
+                        observe_all(
+                            &mut self.world.tables,
+                            tx.sender,
+                            tx.tx_dbm,
+                            now,
+                            &deliveries,
+                        );
                     }
                     FrameKind::Data => {
                         let now = self.world.queue.now();
@@ -1945,11 +2034,11 @@ impl<P: Protocol> Simulator<P> {
             }
             Event::Timer { node, tag } => {
                 self.world.counters.timers_fired += 1;
-                self.protocol.on_timer(node, tag, &mut self.world);
+                self.protocol.on_timer(node as NodeId, tag, &mut self.world);
             }
             Event::StartBroadcast(node) => {
                 self.world.broadcast_started = true;
-                self.protocol.on_start(node, &mut self.world);
+                self.protocol.on_start(node as NodeId, &mut self.world);
             }
         }
     }
@@ -1965,6 +2054,13 @@ mod tests {
         let mut c = SimConfig::paper(50, seed);
         c.field = Field::new(100.0, 100.0);
         c
+    }
+
+    #[test]
+    fn events_are_compact() {
+        // A heap entry is `(time, seq, event)`: 32 bytes keeps two per
+        // cache line and every sift cheap.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     #[test]
@@ -2268,12 +2364,14 @@ mod tests {
             }
             let (_, ev) = world.queue.pop().unwrap();
             match ev {
-                Event::Beacon(node) => {
+                Event::Beacon(id) => {
+                    let node = id as NodeId;
                     world.start_transmission(node, world.node_tx[node], FrameKind::Beacon);
                     let base = world.spec.beacon_interval;
-                    world.queue.schedule_in(base, Event::Beacon(node));
+                    world.queue.schedule_in(base, Event::Beacon(id));
                 }
-                Event::TxEnd(tx) => {
+                Event::TxEnd(key) => {
+                    let tx = world.txs.remove(key);
                     ds.clear();
                     world.compute_deliveries(&tx, &mut ds);
                     let now = world.queue.now();
@@ -2283,17 +2381,18 @@ mod tests {
                         }
                     }
                 }
-                Event::MobilityChange(n) => {
+                Event::MobilityChange(id) => {
+                    let n = id as NodeId;
                     world.mobility[n].advance(&mut world.rng);
                     let next = world.mobility[n].next_change();
                     if next.is_finite() {
-                        world.queue.schedule(next, Event::MobilityChange(n));
+                        world.queue.schedule(next, Event::MobilityChange(id));
                     }
                     world.reanchor_grid_refresh(n);
                 }
-                Event::GridRefresh { node, gen } => world.handle_grid_refresh(node, gen),
-                Event::StartBroadcast(n) => protocol.on_start(n, &mut world),
-                Event::Timer { node, tag } => protocol.on_timer(node, tag, &mut world),
+                Event::GridRefresh { node, gen } => world.handle_grid_refresh(node as NodeId, gen),
+                Event::StartBroadcast(n) => protocol.on_start(n as NodeId, &mut world),
+                Event::Timer { node, tag } => protocol.on_timer(node as NodeId, tag, &mut world),
             }
         }
         // dense network: every node should know (almost) everyone
@@ -2304,6 +2403,46 @@ mod tests {
             assert!(e.rx_dbm >= world.spec.radio.rx_sensitivity_dbm);
             assert!(e.last_seen <= world.queue.now());
         }
+    }
+
+    #[test]
+    fn neighbor_tables_keep_only_live_neighbours_in_a_fast_walking_world() {
+        // Nodes walking at 20–40 m/s turn their neighbourhoods over many
+        // times in a run. A table that never evicts keeps every neighbour
+        // it ever heard (its memory grows with the run); the store keeps
+        // at most the neighbours live at its latest insertion.
+        let mut c = SimConfig::paper(400, 5);
+        c.field = Field::new(2000.0, 2000.0);
+        c.speed_range = (20.0, 40.0);
+        c.mobility = MobilityModel::RandomWalk {
+            change_interval: 2.0,
+        };
+        let n = c.n_nodes;
+        let mut sim = Simulator::new(c.clone(), SourceOnly);
+        let mut heard = vec![std::collections::BTreeSet::new(); n];
+        let mut t = 0.0;
+        while t < c.end_time {
+            t += 0.5;
+            sim.run_until(t);
+            let now = sim.now();
+            for (ids, table) in heard.iter_mut().zip(&sim.world.tables) {
+                ids.extend(table.live(now).iter().map(|e| e.id));
+            }
+        }
+        let (mut stored, mut ever) = (0, 0);
+        for (ids, table) in heard.iter().zip(&sim.world.tables) {
+            assert_eq!(
+                table.len(),
+                table.live(table.last_insert()).len(),
+                "a stored entry was already stale at the last insertion"
+            );
+            stored += table.len();
+            ever += ids.len();
+        }
+        assert!(
+            stored * 2 < ever,
+            "tables hold {stored} entries for {ever} neighbours ever heard"
+        );
     }
 
     #[test]

@@ -91,11 +91,12 @@ use crate::snapshot::{KinematicSnapshot, PackedSegment};
 /// The gather is latency-bound, not work-bound: per query it touches a
 /// couple of dozen cells' metadata plus ~44 packed segment records, each
 /// on its own line scattered across multi-hundred-KiB arrays, so almost
-/// every access is a demand miss unless something issues the load early.
-/// Purely a latency hint: cache state is the only effect, so no computed
-/// value can change.
+/// every access is a demand miss unless something issues the load early
+/// (the grid's bucket headers and the neighbour tables use it for the
+/// same reason). Purely a latency hint: cache state is the only effect,
+/// so no computed value can change.
 #[inline(always)]
-fn prefetch<T>(p: *const T) {
+pub(crate) fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is side-effect-free and architecturally valid for
     // any address, even an unmapped one.

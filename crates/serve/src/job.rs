@@ -60,6 +60,10 @@ pub enum ProtocolSpec {
     },
     /// Only the source transmits (coverage lower bound).
     SourceOnly,
+    /// A protocol that panics when the broadcast starts: exercises the
+    /// service's panic isolation in its unit tests.
+    #[cfg(test)]
+    Panicking,
 }
 
 /// A batch of raw simulator runs: the same world, one run per seed.
@@ -145,6 +149,29 @@ pub enum JobError {
     Rejected(String),
     /// Execution started but failed (e.g. the storage backend errored).
     Execution(String),
+    /// Execution panicked; carries the panic message. The service caught
+    /// the panic and keeps serving other jobs.
+    Panicked(String),
+}
+
+/// What a [`SimService::cancel`](crate::service::SimService::cancel) call
+/// did. The service removes a job from its registry *before* sending the
+/// job's terminal event, so once a client has seen that event, cancelling
+/// the job reports [`Unknown`](Self::Unknown); before it, the outcome is
+/// [`Requested`](Self::Requested) exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CancelOutcome {
+    /// The job was queued or running and is now flagged. It stops at its
+    /// next cancellation check and ends with [`JobError::Cancelled`] —
+    /// unless it already passed its last check, in which case it finishes
+    /// normally.
+    Requested,
+    /// An earlier call already flagged the job, which has not sent its
+    /// terminal event yet.
+    AlreadyRequested,
+    /// No job with this id is in flight: it has sent its terminal event,
+    /// or it never existed.
+    Unknown,
 }
 
 impl std::fmt::Display for JobError {
@@ -153,6 +180,7 @@ impl std::fmt::Display for JobError {
             JobError::Cancelled => write!(f, "job cancelled"),
             JobError::Rejected(why) => write!(f, "job rejected: {why}"),
             JobError::Execution(why) => write!(f, "job failed: {why}"),
+            JobError::Panicked(why) => write!(f, "job panicked: {why}"),
         }
     }
 }

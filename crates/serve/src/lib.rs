@@ -13,7 +13,9 @@
 //!   [`JobEvent`]s (accepted → started → per-generation front snapshots
 //!   and per-row progress → finished/failed) to the submitting
 //!   [`JobHandle`];
-//! * jobs can be [cancelled](SimService::cancel) cooperatively, and the
+//! * jobs can be [cancelled](SimService::cancel) cooperatively (the call
+//!   reports a typed [`CancelOutcome`]), a job that panics fails alone
+//!   with [`JobError::Panicked`] while the worker keeps serving, and the
 //!   service drains or shuts down gracefully;
 //! * results persist through the pluggable [`store::Storage`] backend the
 //!   service was built on: AEDB eval caches and **campaign archives**
@@ -51,6 +53,7 @@ pub mod job;
 pub mod service;
 
 pub use job::{
-    JobError, JobEvent, JobId, JobOutput, JobSpec, Priority, ProtocolSpec, SimSummary, SimulateSpec,
+    CancelOutcome, JobError, JobEvent, JobId, JobOutput, JobSpec, Priority, ProtocolSpec,
+    SimSummary, SimulateSpec,
 };
 pub use service::{JobHandle, JobResult, SimService, CAMPAIGN_NAMESPACE, EVAL_CACHE_NAMESPACE};

@@ -15,9 +15,14 @@
 //! simulate seeds, between campaign repetitions and — through the
 //! [`RunObserver`] hooks — at MOEA generation boundaries, so a cancelled
 //! campaign stops within one generation without poisoning the service.
+//! [`SimService::cancel`] reports a typed [`CancelOutcome`]; a job leaves
+//! the registry before its terminal event is sent, so after that event a
+//! cancel is deterministically [`CancelOutcome::Unknown`].
 //!
-//! Campaigns running the island optimizer
-//! ([`AlgorithmKind::Island`](crate::campaign::AlgorithmKind::Island))
+//! A job that panics is isolated: the worker catches the panic, fails
+//! that job with [`JobError::Panicked`] and goes on with the queue.
+//!
+//! Campaigns running the island optimizer ([`AlgorithmKind::Island`])
 //! stream [`JobEvent::AnytimeFront`] epochs instead of `Generation`
 //! snapshots: each carries the global anytime archive — the best-so-far
 //! front, hypervolume non-decreasing over epochs — so a client that
@@ -28,8 +33,7 @@
 //! ## Determinism and the campaign archive
 //!
 //! A campaign is a pure function of its [`CampaignSpec`] (seeds are
-//! implied by [`rep_seed`](crate::campaign::rep_seed)). The service
-//! exploits that twice:
+//! implied by [`rep_seed`]). The service exploits that twice:
 //!
 //! * results are archived under the spec's fingerprint (namespace
 //!   `campaigns`); resubmitting a finished campaign **replays** the
@@ -40,15 +44,15 @@
 //!   *fresh* campaign on a warm scenario skips simulations.
 //!
 //! With [`DiskStorage`] both survive the process; with
-//! [`MemoryStorage`](store::MemoryStorage) they live as long as the
-//! service (the two backends behave identically otherwise, pinned by the
-//! service test-suite).
+//! [`MemoryStorage`] they live as long as the service (the two backends
+//! behave identically otherwise, pinned by the service test-suite).
 
 use crate::campaign::{
     algorithm_for, rep_seed, AlgorithmKind, CampaignResult, CampaignSpec, RepRun,
 };
 use crate::job::{
-    JobError, JobEvent, JobId, JobOutput, JobSpec, Priority, ProtocolSpec, SimSummary, SimulateSpec,
+    CancelOutcome, JobError, JobEvent, JobId, JobOutput, JobSpec, Priority, ProtocolSpec,
+    SimSummary, SimulateSpec,
 };
 use aedb::problem::AedbProblem;
 use aedb::protocol::Aedb;
@@ -58,6 +62,7 @@ use mopt::algorithm::RunObserver;
 use mopt::dominance::non_dominated;
 use mopt::solution::Candidate;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -146,8 +151,9 @@ impl JobCtl {
             cancelled: AtomicBool::new(false),
         })
     }
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
+    /// Sets the flag; returns whether it was already set.
+    fn cancel(&self) -> bool {
+        self.cancelled.swap(true, Ordering::SeqCst)
     }
     fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::SeqCst)
@@ -288,18 +294,16 @@ impl SimService {
         handle
     }
 
-    /// Requests cancellation of a queued or running job. Returns whether
-    /// the job was still known (false: already finished, or never
-    /// existed). The job's stream terminates with
-    /// [`JobError::Cancelled`] once the flag takes effect.
-    pub fn cancel(&self, id: JobId) -> bool {
+    /// Requests cancellation of a queued or running job (see
+    /// [`CancelOutcome`] for what each answer guarantees). The job's
+    /// stream terminates with [`JobError::Cancelled`] once the flag takes
+    /// effect.
+    pub fn cancel(&self, id: JobId) -> CancelOutcome {
         let st = self.inner.state.lock().expect("service state poisoned");
         match st.registry.get(&id) {
-            Some(ctl) => {
-                ctl.cancel();
-                true
-            }
-            None => false,
+            Some(ctl) if ctl.cancel() => CancelOutcome::AlreadyRequested,
+            Some(_) => CancelOutcome::Requested,
+            None => CancelOutcome::Unknown,
         }
     }
 
@@ -392,18 +396,30 @@ fn worker_loop(inner: Arc<Inner>) {
     }
 }
 
+/// Runs one job to its terminal event. A panic inside the job is caught
+/// here and becomes [`JobError::Panicked`], so one bad job cannot take the
+/// worker — and every job queued behind it — down.
 fn execute(inner: &Inner, q: Queued) {
     let outcome = if q.ctl.is_cancelled() {
         Err(JobError::Cancelled)
     } else {
         q.events.send(JobEvent::Started { job: q.id });
-        match q.spec {
+        panic::catch_unwind(AssertUnwindSafe(|| match q.spec {
             JobSpec::Simulate(ref s) => run_simulate(q.id, s, &q.ctl, &q.events)
                 .map(|summaries| (false, JobOutput::Simulated(summaries))),
             JobSpec::Campaign(ref c) => run_campaign(inner, q.id, c, &q.ctl, &q.events)
                 .map(|(replayed, result)| (replayed, JobOutput::Campaign(result))),
-        }
+        }))
+        .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload.as_ref()))))
     };
+    // Leave the registry first: once the terminal event is observable,
+    // `cancel` must answer `Unknown`.
+    inner
+        .state
+        .lock()
+        .expect("service state poisoned")
+        .registry
+        .remove(&q.id);
     match outcome {
         Ok((replayed, output)) => q.events.send(JobEvent::Finished {
             job: q.id,
@@ -412,12 +428,16 @@ fn execute(inner: &Inner, q: Queued) {
         }),
         Err(error) => q.events.send(JobEvent::Failed { job: q.id, error }),
     }
-    inner
-        .state
-        .lock()
-        .expect("service state poisoned")
-        .registry
-        .remove(&q.id);
+}
+
+/// The message of a caught panic (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 fn run_simulate(
@@ -434,6 +454,8 @@ fn run_simulate(
             simulate_seeds(job, spec, ctl, events, |n| Flooding::new(n, jitter))
         }
         ProtocolSpec::SourceOnly => simulate_seeds(job, spec, ctl, events, |_| SourceOnly),
+        #[cfg(test)]
+        ProtocolSpec::Panicking => simulate_seeds(job, spec, ctl, events, |_| tests::PanicOnStart),
     }
 }
 
@@ -680,21 +702,91 @@ mod tests {
         service.drain();
     }
 
+    /// Panics as soon as the broadcast starts.
+    pub(super) struct PanicOnStart;
+
+    impl Protocol for PanicOnStart {
+        fn on_start(&mut self, node: usize, _: &mut dyn manet::ProtocolApi) {
+            panic!("test protocol panicked at node {node}");
+        }
+        fn on_receive(&mut self, _: usize, _: usize, _: f64, _: &mut dyn manet::ProtocolApi) {}
+        fn on_timer(&mut self, _: usize, _: u64, _: &mut dyn manet::ProtocolApi) {}
+    }
+
+    fn simulate(protocol: ProtocolSpec) -> JobSpec {
+        JobSpec::Simulate(SimulateSpec {
+            world: tiny_world(),
+            protocol,
+            seeds: vec![1],
+        })
+    }
+
+    /// A campaign whose budget it cannot finish in a test's lifetime, so
+    /// it runs until cancelled.
+    fn endless_campaign() -> JobSpec {
+        JobSpec::Campaign(CampaignSpec {
+            scenario: Scenario::quick(Density::D100, 1),
+            algorithm: AlgorithmKind::Nsga2,
+            budget: CampaignBudget::quick(2_000_000, 1),
+        })
+    }
+
     #[test]
-    fn cancel_of_queued_job_and_unknown_id() {
+    fn cancel_of_finished_and_unknown_ids_is_unknown() {
         let service = SimService::in_memory();
-        // A queued job the worker hasn't reached yet can be raced — but
-        // cancelling an already-finished or unknown id reports false.
-        assert!(!service.cancel(JobId(999)));
-        let handle = service.submit(
-            JobSpec::Simulate(SimulateSpec {
-                world: tiny_world(),
-                protocol: ProtocolSpec::SourceOnly,
-                seeds: vec![1],
-            }),
-            Priority::Normal,
-        );
-        let _ = handle.wait();
+        assert_eq!(service.cancel(JobId(999)), CancelOutcome::Unknown);
+        let handle = service.submit(simulate(ProtocolSpec::SourceOnly), Priority::Normal);
+        let id = handle.id();
+        handle.wait().expect("job succeeds");
+        // The job left the registry before its terminal event was sent.
+        assert_eq!(service.cancel(id), CancelOutcome::Unknown);
+        service.drain();
+    }
+
+    #[test]
+    fn double_cancel_is_reported_once_then_already_requested() {
+        let service = SimService::in_memory();
+        // The running campaign holds the only worker until cancelled, so
+        // the job queued behind it stays queued — and in the registry —
+        // for the whole sequence: every outcome below is deterministic.
+        let blocker = service.submit(endless_campaign(), Priority::Normal);
+        loop {
+            match blocker.next_event() {
+                Some(JobEvent::Started { .. }) => break,
+                Some(JobEvent::Accepted { .. }) => {}
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        let queued = service.submit(simulate(ProtocolSpec::SourceOnly), Priority::Normal);
+        let id = queued.id();
+        assert_eq!(service.cancel(id), CancelOutcome::Requested);
+        assert_eq!(service.cancel(id), CancelOutcome::AlreadyRequested);
+        assert_eq!(service.cancel(id), CancelOutcome::AlreadyRequested);
+        assert_eq!(service.cancel(blocker.id()), CancelOutcome::Requested);
+        assert_eq!(blocker.wait().unwrap_err(), JobError::Cancelled);
+        assert_eq!(queued.wait().unwrap_err(), JobError::Cancelled);
+        assert_eq!(service.cancel(id), CancelOutcome::Unknown);
+        service.drain();
+    }
+
+    #[test]
+    fn panicking_job_fails_alone_and_the_worker_keeps_serving() {
+        let service = SimService::in_memory();
+        // Queue a healthy job behind the panicking one before the worker
+        // can finish it, then one more after: both must still run.
+        let bad = service.submit(simulate(ProtocolSpec::Panicking), Priority::Normal);
+        let queued = service.submit(simulate(ProtocolSpec::SourceOnly), Priority::Normal);
+        match bad.wait() {
+            Err(JobError::Panicked(msg)) => {
+                assert!(msg.contains("test protocol panicked"), "message: {msg}")
+            }
+            other => panic!("expected a panicked job, got {other:?}"),
+        }
+        queued
+            .wait()
+            .expect("job queued behind the panic still runs");
+        let later = service.submit(simulate(ProtocolSpec::SourceOnly), Priority::High);
+        later.wait().expect("the worker survived the panic");
         service.drain();
     }
 

@@ -878,3 +878,112 @@ proptest! {
         prop_assert_eq!(hypervolume(&empty, &reference), 0.0);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn neighbor_store_matches_a_never_evicting_reference(
+        expiry in 0.5f64..3.0,
+        ops in prop::collection::vec((0u32..10, 0usize..40, 0.0f64..1.0, -95.0f64..-40.0), 1..400),
+    ) {
+        // The flat, self-evicting store against two BTreeMap models: the
+        // historical table that keeps every neighbour ever heard (what
+        // reads must match), and the store's own membership (a new id
+        // first evicts everything stale at its time).
+        use manet::neighbor::{NeighborEntry, NeighborTable};
+        use std::collections::BTreeMap;
+        let mut table = NeighborTable::new(expiry);
+        let mut ever: BTreeMap<usize, (f64, f64)> = BTreeMap::new(); // id -> (rx, seen)
+        let mut stored: BTreeMap<usize, f64> = BTreeMap::new(); // id -> seen
+        let mut now = 0.0f64;
+        let mut last_insert = f64::NEG_INFINITY;
+        let mut peak = 0usize;
+        let mut out = Vec::new();
+        let live = |ever: &BTreeMap<usize, (f64, f64)>, now: f64| -> Vec<NeighborEntry> {
+            ever.iter()
+                .filter(|(_, &(_, seen))| now - seen <= expiry)
+                .map(|(&id, &(rx, seen))| NeighborEntry { id, rx_dbm: rx, tx_dbm: 16.02, last_seen: seen })
+                .collect()
+        };
+        for (kind, id, gap, rx) in ops {
+            // Monotone time; one step in five jumps past the expiry.
+            now += if kind == 9 { expiry * (1.0 + gap) } else { gap * 0.6 };
+            match kind {
+                0..=6 | 9 => {
+                    let fresh = !stored.contains_key(&id);
+                    table.observe(id, rx, 16.02, now);
+                    if fresh {
+                        stored.retain(|_, seen| now - *seen <= expiry);
+                        last_insert = now;
+                    }
+                    stored.insert(id, now);
+                    ever.insert(id, (rx, now));
+                    if fresh {
+                        // Right after an insertion the table holds exactly
+                        // the live neighbours, the new one included.
+                        prop_assert_eq!(table.len(), live(&ever, now).len());
+                    }
+                }
+                7 => {
+                    table.forget(id);
+                    stored.remove(&id);
+                    ever.remove(&id);
+                }
+                _ => {
+                    table.live_into(now, &mut out);
+                    prop_assert_eq!(&out, &live(&ever, now));
+                }
+            }
+            peak = peak.max(table.len());
+            prop_assert_eq!(table.len(), stored.len());
+            prop_assert_eq!(table.last_insert(), last_insert);
+            // Every stored entry was live at the last insertion: the table
+            // never holds more than the neighbours live then.
+            prop_assert!(stored.values().all(|&seen| last_insert - seen <= expiry));
+            prop_assert_eq!(table.live(now), live(&ever, now));
+            let cap = table.capacity();
+            prop_assert!(cap == 0 || cap.is_power_of_two());
+            prop_assert!(table.len() * 4 <= cap * 3, "load above 3/4");
+            prop_assert!(cap * 3 <= 8 * peak.max(3), "capacity {} for peak {}", cap, peak);
+        }
+    }
+
+    #[test]
+    fn slab_keyed_queue_matches_a_binary_heap_reference(
+        ops in prop::collection::vec((0u32..3, 0u32..8), 1..500),
+    ) {
+        // The 4-ary event queue with slab-held payloads against
+        // `BinaryHeap<(time, seq)>`: delays on a coarse grid force many
+        // equal-time ties, and schedules interleave with pops.
+        use manet::events::{EventQueue, Slab};
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut slab: Slab<u64> = Slab::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        for (kind, k) in ops {
+            if kind < 2 {
+                let time = queue.now() + 0.25 * k as f64;
+                queue.schedule(time, slab.insert(seq));
+                // Non-negative times order like their bit patterns.
+                reference.push(Reverse((time.to_bits(), seq)));
+                seq += 1;
+            } else {
+                let got = queue.pop().map(|(t, key)| (t.to_bits(), slab.remove(key)));
+                prop_assert_eq!(got, reference.pop().map(|Reverse(e)| e));
+            }
+            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(slab.len(), reference.len());
+            prop_assert_eq!(
+                queue.peek_time().map(f64::to_bits),
+                reference.peek().map(|Reverse((t, _))| *t)
+            );
+        }
+        while let Some((t, key)) = queue.pop() {
+            prop_assert_eq!(Some((t.to_bits(), slab.remove(key))), reference.pop().map(|Reverse(e)| e));
+        }
+        prop_assert!(reference.is_empty() && slab.is_empty());
+    }
+}
