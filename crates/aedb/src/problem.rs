@@ -478,7 +478,7 @@ impl AedbProblem {
 
     /// Full evaluation: averages the observables over all networks —
     /// fanned across the thread pool when
-    /// [`parallel_single_candidate`](Self::parallel_single_candidate)
+    /// `parallel_single_candidate`
     /// applies (the per-network parallelism *inside one candidate* that
     /// dense 10⁴-node campaigns need).
     pub fn evaluate_full(&self, params: AedbParams) -> AedbOutcome {

@@ -164,7 +164,7 @@ impl Scenario {
     }
 
     /// The simulator configuration of evaluation network `k` — Table II
-    /// verbatim (500 m field, random walk at [0,2] m/s with 20 s direction
+    /// verbatim (500 m field, random walk at \[0, 2\] m/s with 20 s direction
     /// changes, 16.02 dBm default power, broadcast at 30 s, end at 40 s),
     /// or the dense override's scaled field when one is set. Panics for
     /// heterogeneous dense scenarios — those only compile through

@@ -353,10 +353,11 @@ impl ExperimentScale {
         scale
     }
 
-    /// MLS evaluation budget: 2.4× the MOEA budget, as in the paper
-    /// (24 000 vs 10 000).
+    /// MLS evaluation budget: about 2.4× the MOEA budget, as in the paper
+    /// (24 000 vs 10 000) — the evaluations the campaign's MLS
+    /// configuration actually runs ([`serve::campaign::CampaignBudget::mls_evals`]).
     pub fn mls_evals(&self) -> u64 {
-        (self.evals as f64 * 2.4).round() as u64
+        self.campaign_budget().mls_evals()
     }
 
     /// The campaign budget these scale knobs denote — the bridge into

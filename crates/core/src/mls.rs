@@ -211,7 +211,7 @@ impl Mls {
     /// Like [`optimize`](Self::optimize), but workers start from the given
     /// evaluated solutions (round-robin) instead of random points — the
     /// hook the paper's future work needs ("include AEDB-MLS in
-    /// [CellDE] as a local search for fine tuning the solutions"). Each
+    /// \[CellDE\] as a local search for fine tuning the solutions"). Each
     /// worker takes one seed round-robin (already-evaluated seeds are not
     /// re-simulated) and submits it to the archive as its starting point;
     /// when `seeds` is empty all workers initialise randomly.

@@ -17,14 +17,14 @@
 //! The grid supports both of the simulator's delivery paths (see
 //! [`crate::sim::DeliveryMode`]):
 //!
-//! 1. **Horizon rebuild** (the historical scheme): [`rebuild`] re-buckets
+//! 1. **Horizon rebuild** (the historical scheme): [`rebuild`](SpatialGrid::rebuild) re-buckets
 //!    all `n` nodes on a coarse time horizon, and queries add a *staleness
 //!    margin* `v_max · (t_query − t_build)` to the radius because node
 //!    positions drift between rebuilds. O(n) per horizon lapse regardless
 //!    of how little anything moved.
 //! 2. **Incremental** (event-driven): each cell is a compact array of
 //!    member ids (push to insert, swap-remove to delete) so
-//!    [`update_node`] moves one node between cells in O(1). The simulator
+//!    [`update_node`](SpatialGrid::update_node) moves one node between cells in O(1). The simulator
 //!    drives these updates from per-node *cell-crossing events*: a node at
 //!    distance `d` from its cell boundary moving at speed `s` cannot change
 //!    cell before `d / s`, so a refresh scheduled then keeps every bucket

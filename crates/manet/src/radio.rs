@@ -281,10 +281,41 @@ pub fn shadow_tail_error_budget() -> f64 {
 /// maximum range (see the constant's docs for the error budget). Symmetric
 /// and reproducible — the same link sees the same shadowing for the whole
 /// simulation, which is the standard quasi-static model.
+///
+/// # The hash / uniform / finish split
+///
+/// The draw is the composition of three public steps, and for every
+/// `sigma_db > 0`
+///
+/// ```text
+/// link_shadowing_db(σ, seed, a, b)
+///     == shadow_from_uniforms(σ, shadow_uniforms(link_hash(seed, a, b)))
+/// ```
+///
+/// holds bit for bit:
+///
+/// 1. [`link_hash`] — the pure, symmetric link hash (two mixing rounds,
+///    no floating point);
+/// 2. [`shadow_uniforms`] — the two Box–Muller uniforms `u1`, `u2` in
+///    `[0, 1)` (two more `splitmix64` rounds, no transcendental);
+/// 3. [`shadow_from_uniforms`] — the finishing step (`ln`, `sqrt`, `cos`
+///    and the tail clip).
+///
+/// The split lets the delivery query classify most out-of-reach shadowed
+/// links from the uniforms alone ([`ShadowLadder`]) and pay for step 3
+/// only on the links that survive. This function stays the unsplit
+/// reference the historical delivery paths call.
 pub fn link_shadowing_db(sigma_db: f64, seed: u64, a: usize, b: usize) -> f64 {
     if sigma_db <= 0.0 {
         return 0.0;
     }
+    shadow_from_uniforms(sigma_db, shadow_uniforms(link_hash(seed, a, b)))
+}
+
+/// Step 1 of [`link_shadowing_db`]: the hash of the unordered pair
+/// `{a, b}` under the simulation seed (symmetric in `a`, `b`).
+#[inline]
+pub fn link_hash(seed: u64, a: usize, b: usize) -> u64 {
     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
     let mut h = seed ^ 0x9E37_79B9_7F4A_7C15u64;
     for v in [lo as u64, hi as u64] {
@@ -294,10 +325,135 @@ pub fn link_shadowing_db(sigma_db: f64, seed: u64, a: usize, b: usize) -> f64 {
             .wrapping_add(h >> 2);
         h = splitmix64(h);
     }
+    h
+}
+
+/// Step 2 of [`link_shadowing_db`]: the Box–Muller uniforms `(u1, u2)`,
+/// each a 53-bit fraction in `[0, 1)`, drawn from a [`link_hash`].
+#[inline]
+pub fn shadow_uniforms(h: u64) -> (f64, f64) {
     let u1 = (splitmix64(h) >> 11) as f64 / (1u64 << 53) as f64;
     let u2 = (splitmix64(h ^ 0xDEAD_BEEF) >> 11) as f64 / (1u64 << 53) as f64;
+    (u1, u2)
+}
+
+/// Step 3 of [`link_shadowing_db`]: the Box–Muller transform of
+/// `(u1, u2)`, scaled by `sigma_db` and clipped at
+/// `+`[`SHADOW_TAIL_SIGMAS`]` · sigma_db`. The standard-normal variate is
+/// `radius · cos(τ·u2)` with radius `√(−2 ln u1)`.
+#[inline]
+pub fn shadow_from_uniforms(sigma_db: f64, (u1, u2): (f64, f64)) -> f64 {
     let g = (-2.0 * (u1.max(1e-300)).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     sigma_db * g.min(SHADOW_TAIL_SIGMAS)
+}
+
+/// Rungs of the [`ShadowLadder`]: gains `g_k = k · SHADOW_LADDER_STEP`
+/// (in σ) for `k = 0..SHADOW_LADDER_RUNGS`, topping out at the
+/// [`SHADOW_TAIL_SIGMAS`] clip. One more than a power of two, so the rung
+/// search is a fixed branch-free bisection.
+pub const SHADOW_LADDER_RUNGS: usize = 17;
+const _: () = assert!((SHADOW_LADDER_RUNGS - 1).is_power_of_two());
+
+/// Gain step between [`ShadowLadder`] rungs, in standard deviations.
+pub const SHADOW_LADDER_STEP: f64 = SHADOW_TAIL_SIGMAS / (SHADOW_LADDER_RUNGS - 1) as f64;
+
+/// Relative margin on the ladder's `u1` bounds: wide enough to absorb the
+/// few-ulp rounding of `exp`, `ln` and `sqrt`, far too thin to matter for
+/// the reject rate.
+const SHADOW_LADDER_U1_MARGIN: f64 = 1e-9;
+
+/// A log-free reject test for shadowed links of one power class: decides
+/// from a link's Box–Muller uniforms and squared distance alone — no
+/// `log10`, `ln` or `cos` — that the link is below sensitivity, for most
+/// links outside the nominal (unshadowed) range.
+///
+/// Rung `k` stores the gain `G_k = σ · g_k` with `g_k = k ·`
+/// [`SHADOW_LADDER_STEP`], the squared-distance bound
+/// `hi²_k = threshold_band_sq(tx + G_k, sensitivity).1`, and the `u1` bound
+/// `U_k = exp(−g_k² / 2) · (1 + 1e-9)`. For a candidate at `d²` take the
+/// largest `k` with `d² > hi²_k` (the rungs are non-decreasing in `k`, so
+/// a branch-free bisection finds it; it lands on `k = 0`, which rejects
+/// nothing, when no rung qualifies); [`rejects`](ShadowLadder::rejects) is
+/// true when
+///
+/// * `u1 ≥ U_k`: the Box–Muller radius `√(−2 ln u1)` is below `g_k`, or
+/// * `k ≥ 1` and `u2 ∈ [0.25, 0.75]`: `cos(τ·u2) ≤ 0` up to the rounding
+///   of `τ·u2` near `π/2` and `3π/2`, so the gain is at most
+///   `~1e-16 · radius · σ`, far below `G_1 = σ/4`.
+///
+/// # Exactness
+///
+/// A rejected link fails the exact `rx_dbm(tx, d) + S ≥ sensitivity` test:
+///
+/// * The gain satisfies `S ≤ G_k`: `|cos| ≤ 1`, the clip at `4σ` and the
+///   final scaling by σ are monotone, and the `1e-9` margin on `U_k` is
+///   ~10⁶ times wider than the rounding of `exp`/`ln`/`sqrt`, so
+///   `u1 ≥ U_k` puts the computed radius strictly below `g_k`.
+/// * `d² > hi²_k` puts `tx + G_k − loss(d)` below sensitivity by the
+///   [`THRESHOLD_BAND`] margin (~1e-8 dB at radio ranges), orders of
+///   magnitude above the f64 rounding of `tx − loss(d) + S`, so the
+///   classification equals the dB test. (`hi²_k` is raised to the running
+///   maximum of the rungs below it, keeping them non-decreasing even if a
+///   `powf` rounded against the model's monotonicity; raising a bound
+///   only makes the reject rarer.)
+///
+/// A link the ladder does not reject is decided by the exact test. The
+/// property suite pins the equivalence at distances just inside and just
+/// outside every rung; the historical delivery paths keep calling the
+/// unsplit [`link_shadowing_db`], so they stay an independent oracle.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ShadowLadder {
+    hi2: [f64; SHADOW_LADDER_RUNGS],
+    u1_min: [f64; SHADOW_LADDER_RUNGS],
+}
+
+impl ShadowLadder {
+    /// The ladder of a transmission at `tx_dbm` under `radio` (its path
+    /// loss, sensitivity and shadowing σ).
+    pub fn new(radio: &RadioConfig, tx_dbm: f64) -> Self {
+        let sigma = radio.shadowing_sigma_db;
+        let mut hi2 = [0.0; SHADOW_LADDER_RUNGS];
+        let mut u1_min = [0.0; SHADOW_LADDER_RUNGS];
+        let mut below = f64::NEG_INFINITY;
+        for k in 0..SHADOW_LADDER_RUNGS {
+            let g = k as f64 * SHADOW_LADDER_STEP;
+            let band = radio
+                .path_loss
+                .threshold_band_sq(tx_dbm + sigma * g, radio.rx_sensitivity_dbm);
+            below = below.max(band.1);
+            hi2[k] = below;
+            u1_min[k] = (-0.5 * g * g).exp() * (1.0 + SHADOW_LADDER_U1_MARGIN);
+        }
+        ShadowLadder { hi2, u1_min }
+    }
+
+    /// `hi²_k` of rung `k` (see the type docs).
+    pub fn hi2(&self, k: usize) -> f64 {
+        self.hi2[k]
+    }
+
+    /// `U_k` of rung `k` (see the type docs).
+    pub fn u1_min(&self, k: usize) -> f64 {
+        self.u1_min[k]
+    }
+
+    /// True when a link at squared distance `d2` whose Box–Muller
+    /// uniforms are `(u1, u2)` ([`shadow_uniforms`]) is certainly below
+    /// sensitivity. False means "undecided": run the exact test.
+    #[inline]
+    pub fn rejects(&self, d2: f64, (u1, u2): (f64, f64)) -> bool {
+        let top = SHADOW_LADDER_RUNGS - 1;
+        let mut k = 0;
+        let mut step = top / 2;
+        while step > 0 {
+            k += (d2 > self.hi2[k + step]) as usize * step;
+            step /= 2;
+        }
+        if d2 > self.hi2[top] {
+            k = top;
+        }
+        (u1 >= self.u1_min[k]) | ((k >= 1) & (0.25..=0.75).contains(&u2))
+    }
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -534,6 +690,49 @@ mod tests {
         // different seed or link gives (almost surely) a different value
         assert_ne!(a, link_shadowing_db(6.0, 43, 3, 9));
         assert_ne!(a, link_shadowing_db(6.0, 42, 3, 10));
+    }
+
+    #[test]
+    fn shadowing_split_composes_bit_identically() {
+        for sigma in [0.5, 4.0, 8.0] {
+            for i in 0..5000usize {
+                let (a, b) = (i * 31 % 977, i);
+                let h = link_hash(99, a, b);
+                assert_eq!(h, link_hash(99, b, a), "the hash is symmetric");
+                let (u1, u2) = shadow_uniforms(h);
+                assert!((0.0..1.0).contains(&u1) && (0.0..1.0).contains(&u2));
+                assert_eq!(
+                    shadow_from_uniforms(sigma, (u1, u2)).to_bits(),
+                    link_shadowing_db(sigma, 99, a, b).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_ladder_rungs_span_the_bounded_tail() {
+        let mut r = RadioConfig::paper();
+        r.shadowing_sigma_db = 4.0;
+        let tx = r.default_tx_dbm;
+        let ladder = ShadowLadder::new(&r, tx);
+        let nominal = r.path_loss.threshold_band_sq(tx, r.rx_sensitivity_dbm).1;
+        assert_eq!(ladder.hi2(0), nominal);
+        let top = r.max_decode_range(tx);
+        assert!((ladder.hi2(SHADOW_LADDER_RUNGS - 1).sqrt() / top - 1.0).abs() < 1e-8);
+        for k in 1..SHADOW_LADDER_RUNGS {
+            assert!(ladder.hi2(k) > ladder.hi2(k - 1));
+            assert!(ladder.u1_min(k) < ladder.u1_min(k - 1));
+        }
+        // rung 0 (no gain) can never be met by a real u1
+        assert!(ladder.u1_min(0) > 1.0);
+        // inside the nominal range nothing is rejected
+        assert!(!ladder.rejects(nominal * 0.5, (0.999, 0.5)));
+        // beyond rung 1: cos ≤ 0 rejects, a large radius with cos > 0 not
+        let d2 = ladder.hi2(1) * 1.01;
+        assert!(ladder.rejects(d2, (0.001, 0.5)));
+        assert!(!ladder.rejects(d2, (0.001, 0.0)));
+        // a small radius (u1 near 1) is rejected whatever the angle
+        assert!(ladder.rejects(d2, (0.999_999, 0.0)));
     }
 
     #[test]

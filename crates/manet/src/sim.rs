@@ -8,7 +8,7 @@
 //! `t = 30 s` and the simulation ends at `t = 40 s`.
 //!
 //! Scenarios are described declaratively by a
-//! [`WorldSpec`](crate::world::WorldSpec) — possibly **heterogeneous**:
+//! [`WorldSpec`] — possibly **heterogeneous**:
 //! several node groups with their own mobility model, placement, speed
 //! range and transmit-power class — and compile into the engine through
 //! [`Simulator::from_world`]; the flat [`SimConfig`] is a single-group
@@ -21,7 +21,7 @@
 //! networks). The mechanisms that keep it fast:
 //!
 //! * a [`SpatialGrid`] over the field (cell = half the maximum radio
-//!   range, see [`GRID_CELL_DIVISOR`]) limits each query to the cells
+//!   range, see `GRID_CELL_DIVISOR`) limits each query to the cells
 //!   overlapping the transmission's range disc. The default
 //!   [`DeliveryMode::Incremental`] discipline keeps the grid exact
 //!   through **event-driven cell transitions**: every node schedules a
@@ -30,7 +30,7 @@
 //!   moves the node between cell lists in O(1). Total maintenance is
 //!   proportional to actual cell crossings — orders of magnitude less
 //!   work than the [`DeliveryMode::HorizonRebuild`] baseline, which
-//!   re-buckets all `n` nodes every [`GRID_REBUILD_HORIZON`] seconds.
+//!   re-buckets all `n` nodes every `GRID_REBUILD_HORIZON` seconds.
 //! * the **SoA kinematic snapshot** ([`crate::snapshot`]): flat per-node
 //!   lanes of every mobility segment (origin, velocity/displacement,
 //!   start, arrival), refreshed in O(1) from the same mobility-change
@@ -112,7 +112,10 @@ use crate::mobility::{
 };
 use crate::neighbor::{observe_all, NeighborEntry, NeighborTable};
 use crate::protocol::{Protocol, ProtocolApi};
-use crate::radio::{dbm_to_mw, RadioConfig, INTERFERENCE_FLOOR_DB};
+use crate::radio::{
+    dbm_to_mw, link_hash, shadow_from_uniforms, shadow_uniforms, RadioConfig, ShadowLadder,
+    INTERFERENCE_FLOOR_DB,
+};
 use crate::shard::ShardPool;
 use crate::snapshot::KinematicSnapshot;
 use crate::sweep::{DeliverySweep, SweepStats};
@@ -160,7 +163,7 @@ pub enum DeliveryMode {
     #[default]
     Incremental,
     /// The historical scheme: full O(n) re-bucketing every
-    /// [`GRID_REBUILD_HORIZON`] seconds, queries inflated by a staleness
+    /// `GRID_REBUILD_HORIZON` seconds, queries inflated by a staleness
     /// margin. Kept as the baseline the incremental path is measured
     /// against.
     HorizonRebuild,
@@ -173,7 +176,7 @@ pub enum DeliveryMode {
 /// paper's shape: one mobility model, one speed range, one power class.
 ///
 /// Internally the engine speaks the declarative
-/// [`WorldSpec`](crate::world::WorldSpec); `SimConfig` is a thin adapter
+/// [`WorldSpec`]; `SimConfig` is a thin adapter
 /// over it ([`SimConfig::to_world`] lifts it into a single-group spec with
 /// identical RNG draw order, so the conversion is bit-exact).
 /// Heterogeneous scenarios — several node groups with their own mobility,
@@ -375,18 +378,25 @@ impl TxRadii {
     }
 }
 
-/// Wall-time split of the delivery query, accumulated per
-/// [`compute_deliveries`](World::compute_deliveries) call when profiling
-/// is enabled ([`Simulator::set_query_profiling`]). The two phases are the
-/// ones the query-side perf work optimises independently: candidate
-/// *filtering* (grid walk + position filter + ordering) and the exact
-/// per-receiver *outcome* tests (propagation, half-duplex, capture).
+/// Wall-time split of the delivery query, accumulated per delivery query
+/// when profiling is enabled ([`Simulator::set_query_profiling`]). The two
+/// top-level phases are the ones the query-side perf work optimises
+/// independently: candidate *filtering* (grid walk + position filter +
+/// ordering) and the exact per-receiver *outcome* tests (propagation,
+/// half-duplex, capture); `decode_s` and `interference_s` split the
+/// outcome phase further.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryProfile {
     /// Seconds spent gathering, filtering and ordering candidates.
     pub filter_s: f64,
-    /// Seconds spent in exact receive-outcome tests (incl. interference).
+    /// Seconds spent in exact receive-outcome tests (incl. decode and
+    /// interference).
     pub outcome_s: f64,
+    /// Seconds of `outcome_s` spent in the decode pass: which filtered
+    /// candidates can decode the frame at all (the log-free band test
+    /// unshadowed; the reject ladder plus the exact dB test shadowed).
+    /// Incremental path only, like `interference_s`.
+    pub decode_s: f64,
     /// Seconds of `outcome_s` spent resolving interference and capture
     /// (the per-decodable-receiver frame loop) — the phase the spatialised
     /// active window optimises. Only the incremental path is instrumented
@@ -401,6 +411,7 @@ impl std::ops::AddAssign for QueryProfile {
     fn add_assign(&mut self, other: QueryProfile) {
         self.filter_s += other.filter_s;
         self.outcome_s += other.outcome_s;
+        self.decode_s += other.decode_s;
         self.interference_s += other.interference_s;
     }
 }
@@ -514,6 +525,14 @@ struct QueryScratch {
     /// `powf` per call, every delivery query needs it, and in practice
     /// transmissions cycle through a handful of power classes.
     decode_radius_memo: (u64, f64),
+    /// One-entry memo of the shadowed decode's [`ShadowLadder`], keyed
+    /// like `decode_radius_memo` by the transmit power's bit pattern
+    /// (17 `powf` and 17 `exp` to build).
+    ladder_memo: (u64, ShadowLadder),
+    /// Scratch: per filtered candidate of a shadowed query, its
+    /// Box–Muller uniforms and whether the reject ladder left it for the
+    /// exact test.
+    kept: Vec<((f64, f64), bool)>,
     /// Scratch: candidates that passed the (log-free) decode test, with
     /// their received power (NaN = deferred: computed only if the capture
     /// comparison or a delivery actually needs it).
@@ -543,6 +562,8 @@ impl Default for QueryScratch {
             // `u64::MAX` is a NaN bit pattern, so a real power never
             // collides with the initial sentinel.
             decode_radius_memo: (u64::MAX, 0.0),
+            ladder_memo: (u64::MAX, ShadowLadder::default()),
+            kept: Vec::new(),
             decodable: Vec::new(),
             frames: Vec::new(),
             shadow_val: Vec::new(),
@@ -560,6 +581,7 @@ impl QueryScratch {
         self.sweep.reset(n_cells, n_nodes);
         self.filtered.clear();
         self.decodable.clear();
+        self.kept.clear();
         self.frames.clear();
         self.shadow_val.clear();
         self.shadow_val.resize(n_nodes, 0.0);
@@ -567,6 +589,7 @@ impl QueryScratch {
         self.shadow_stamp.resize(n_nodes, 0);
         self.shadow_epoch = 0;
         self.decode_radius_memo = (u64::MAX, 0.0);
+        self.ladder_memo.0 = u64::MAX;
         self.profile = QueryProfile::default();
     }
 
@@ -581,6 +604,16 @@ impl QueryScratch {
         let r = radio.max_decode_range(tx.tx_dbm) * (1.0 + RANGE_EPSILON) + RANGE_EPSILON;
         self.decode_radius_memo = (bits, r);
         r
+    }
+
+    /// The [`ShadowLadder`] of a transmission at `tx_dbm` (memoised per
+    /// power class; the radio only changes on reset, which clears it).
+    fn shadow_ladder(&mut self, radio: &RadioConfig, tx_dbm: f64) -> &ShadowLadder {
+        let bits = tx_dbm.to_bits();
+        if self.ladder_memo.0 != bits {
+            self.ladder_memo = (bits, ShadowLadder::new(radio, tx_dbm));
+        }
+        &self.ladder_memo.1
     }
 }
 
@@ -1100,11 +1133,14 @@ impl World {
     ///    [`threshold band`](crate::radio::PathLoss::threshold_band_sq) —
     ///    no `log10`; the received power of a decodable candidate is
     ///    deferred until a delivery (or capture comparison) actually needs
-    ///    it. Shadowed, the dB-domain test runs as before with the
-    ///    per-link draw.
+    ///    it. Shadowed, the per-power-class [`ShadowLadder`] rejects most
+    ///    out-of-reach links from the link hash's Box–Muller uniforms and
+    ///    squared distance alone; only the survivors run the dB-domain
+    ///    test with the per-link draw.
     /// 2. **interference**: live frames near this query are gathered
     ///    *once* from the [`SpatialActiveWindow`] (O(nearby), not
-    ///    O(active set)) and replayed per decodable receiver in insertion
+    ///    O(active set); not at all when nobody decodes) and replayed per
+    ///    decodable receiver in insertion
     ///    order, so every interference sum accumulates in exactly the
     ///    historical order. Frames beyond their own floor/gating radius
     ///    are skipped by a squared-distance compare — terms the historical
@@ -1431,16 +1467,6 @@ fn resolve_query(
     debug_assert!(filtered.windows(2).all(|w| w[0].0 < w[1].0));
     let t_mid = profile_on.then(Instant::now);
 
-    // Frames that can matter to *any* candidate of this query, in
-    // global insertion order (sequence numbers are shared with the
-    // flat window, so sorting by them replays its exact iteration
-    // order).
-    let mut frames = std::mem::take(&mut s.frames);
-    frames.clear();
-    ctx.frames
-        .gather_into(tx.pos, r + ctx.extra_reach, &mut frames);
-    frames.sort_unstable_by_key(|&(seq, _)| seq);
-
     let pl = ctx.radio.path_loss;
     let sens = ctx.radio.rx_sensitivity_dbm;
     let sigma = ctx.radio.shadowing_sigma_db;
@@ -1469,16 +1495,42 @@ fn resolve_query(
             }
         }
     } else {
-        for &(i, p, d2) in &filtered {
-            if i == tx.sender {
-                continue;
-            }
-            let rx = pl.rx_dbm(tx.tx_dbm, d2.sqrt())
-                + crate::radio::link_shadowing_db(sigma, seed, tx.sender, i);
-            if rx >= sens {
-                decodable.push((i, p, d2, rx));
+        // Shadowed: the reject ladder settles most out-of-reach links
+        // from the link hash alone (see `ShadowLadder` for the exactness
+        // argument); survivors finish the same draw and run the dB test,
+        // bit-identical to `rx_dbm + link_shadowing_db`. The first loop
+        // is branch-free (every candidate's uniforms and verdict are
+        // written), so its hashes pipeline; the second runs the
+        // transcendentals for the ~1 in 6 survivors.
+        let mut kept = std::mem::take(&mut s.kept);
+        kept.clear();
+        let ladder = s.shadow_ladder(ctx.radio, tx.tx_dbm);
+        kept.extend(filtered.iter().map(|&(i, _, d2)| {
+            let u = shadow_uniforms(link_hash(seed, tx.sender, i));
+            (u, !(ladder.rejects(d2, u) | (i == tx.sender)))
+        }));
+        for (&(i, p, d2), &(u, keep)) in filtered.iter().zip(&kept) {
+            if keep {
+                let rx = pl.rx_dbm(tx.tx_dbm, d2.sqrt()) + shadow_from_uniforms(sigma, u);
+                if rx >= sens {
+                    decodable.push((i, p, d2, rx));
+                }
             }
         }
+        s.kept = kept;
+    }
+    let t_dec = profile_on.then(Instant::now);
+
+    // Frames that can matter to *any* decodable receiver of this query,
+    // in global insertion order (sequence numbers are shared with the
+    // flat window, so sorting by them replays its exact iteration
+    // order). A query nobody decodes needs none.
+    let mut frames = std::mem::take(&mut s.frames);
+    frames.clear();
+    if !decodable.is_empty() {
+        ctx.frames
+            .gather_into(tx.pos, r + ctx.extra_reach, &mut frames);
+        frames.sort_unstable_by_key(|&(seq, _)| seq);
     }
 
     // Pass 2 — interference + capture per decodable receiver.
@@ -1550,10 +1602,11 @@ fn resolve_query(
     s.filtered = filtered;
     s.frames = frames;
     s.decodable = decodable;
-    if let (Some(start), Some(mid), Some(intf)) = (t_start, t_mid, t_int) {
+    if let (Some(start), Some(mid), Some(dec), Some(intf)) = (t_start, t_mid, t_dec, t_int) {
         let done = Instant::now();
         s.profile.filter_s += (mid - start).as_secs_f64();
         s.profile.outcome_s += (done - mid).as_secs_f64();
+        s.profile.decode_s += (dec - mid).as_secs_f64();
         s.profile.interference_s += (done - intf).as_secs_f64();
     }
     (half_duplex, collided)
@@ -1872,7 +1925,7 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Enables/disables wall-time profiling of the delivery query (off by
-    /// default — the two extra `Instant::now` samples per query are only
+    /// default — the extra `Instant::now` samples per query are only
     /// taken when enabled, so unprofiled runs pay nothing). The setting
     /// survives [`reset`](Self::reset); the accumulators do not.
     pub fn set_query_profiling(&mut self, on: bool) {
@@ -2173,6 +2226,28 @@ mod tests {
             assert_eq!(inc.counters, naive.counters, "sigma {sigma}");
             assert_eq!(inc.broadcast, reb.broadcast, "sigma {sigma}");
             assert_eq!(inc.counters, reb.counters, "sigma {sigma}");
+        }
+    }
+
+    #[test]
+    fn query_profile_splits_the_outcome_into_decode_and_interference() {
+        // decode_s (pass 1) and interference_s (pass 2) are disjoint
+        // parts of outcome_s, sequentially and summed over shard
+        // workers; profiling never changes the report.
+        let mut c = SimConfig::paper(120, 5);
+        c.field = Field::new(600.0, 600.0);
+        c.radio.shadowing_sigma_db = 6.0;
+        let n = c.n_nodes;
+        let plain = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1))).run();
+        for shards in [1, 2] {
+            let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+            sim.set_delivery_shards(shards);
+            sim.set_query_profiling(true);
+            let report = sim.run_to_end();
+            assert_eq!(report.counters, plain.counters, "{shards} shards");
+            let p = sim.query_profile();
+            assert!(p.decode_s > 0.0 && p.interference_s > 0.0, "{p:?}");
+            assert!(p.decode_s + p.interference_s <= p.outcome_s, "{p:?}");
         }
     }
 

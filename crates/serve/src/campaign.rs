@@ -85,19 +85,38 @@ impl CampaignBudget {
         }
     }
 
-    /// The AEDB-MLS budget: 2.4× the MOEA budget (§VI: "it performs 2.4
-    /// times more evaluations").
+    /// The AEDB-MLS budget: the evaluations the configuration of
+    /// [`mls_config`](Self::mls_config) runs, about 2.4× the MOEA budget
+    /// (§VI: "it performs 2.4 times more evaluations").
     pub fn mls_evals(&self) -> u64 {
-        (self.evals as f64 * 2.4).round() as u64
+        self.mls_config().total_evaluations()
+    }
+
+    /// The AEDB-MLS configuration of this budget: the paper's 8 × 12
+    /// thread topology (24 000 evaluations) at paper scale; otherwise
+    /// 2 × 2 threads sharing `round(2.4 · evals)` evaluations, rounded
+    /// down to whole evaluations per thread, at least 10 each.
+    pub fn mls_config(&self) -> MlsConfig {
+        let cfg = if self.paper {
+            MlsConfig::paper()
+        } else {
+            let per_thread = ((self.evals as f64 * 2.4).round() as u64 / 4).max(10);
+            MlsConfig::quick(2, 2, per_thread)
+        };
+        MlsConfig {
+            criteria: CriteriaChoice::Aedb,
+            ..cfg
+        }
     }
 }
 
 /// Instantiates an algorithm scaled to the campaign budget.
 ///
 /// * MOEAs receive `budget.evals` evaluations (paper: 10 000),
-/// * AEDB-MLS receives [`CampaignBudget::mls_evals`] = 2.4× that (paper:
-///   24 000), split over the paper's 8 × 12 thread topology at paper
-///   scale and a 2 × 2 topology otherwise,
+/// * AEDB-MLS runs [`CampaignBudget::mls_config`], whose
+///   [`CampaignBudget::mls_evals`] is about 2.4× that (paper: 24 000),
+///   split over the paper's 8 × 12 thread topology at paper scale and a
+///   2 × 2 topology otherwise,
 /// * the island optimizer receives `budget.evals` like the MOEAs (the
 ///   equal-budget comparison the bench rows record): 8 islands at paper
 ///   scale, 2 quick islands otherwise.
@@ -135,21 +154,7 @@ pub fn algorithm_for(budget: &CampaignBudget, kind: AlgorithmKind) -> Box<dyn Mo
             };
             Box::new(IslandOptimizer::new(cfg))
         }
-        AlgorithmKind::Mls => {
-            let cfg = if budget.paper {
-                MlsConfig {
-                    criteria: CriteriaChoice::Aedb,
-                    ..MlsConfig::paper()
-                }
-            } else {
-                let per_thread = (budget.mls_evals() / 4).max(10);
-                MlsConfig {
-                    criteria: CriteriaChoice::Aedb,
-                    ..MlsConfig::quick(2, 2, per_thread)
-                }
-            };
-            Box::new(Mls::new(cfg))
-        }
+        AlgorithmKind::Mls => Box::new(Mls::new(budget.mls_config())),
     }
 }
 
@@ -457,6 +462,27 @@ mod tests {
         let alg = algorithm_for(&budget, AlgorithmKind::Island);
         let r = alg.run(&Zdt1::new(5), 3);
         assert_eq!(r.evaluations, budget.evals, "equal-budget comparison");
+    }
+
+    #[test]
+    fn mls_runs_exactly_its_reported_budget() {
+        use mopt::problem::test_problems::Zdt1;
+        // 5 variables so the AEDB search criteria are valid
+        let problem = Zdt1::new(5);
+        let quick = (1..=100).map(|evals| CampaignBudget::quick(evals, 1));
+        let paper = CampaignBudget {
+            paper: true,
+            evals: 10_000,
+            reps: 1,
+        };
+        for budget in quick.chain([paper]) {
+            let r = algorithm_for(&budget, AlgorithmKind::Mls).run(&problem, 7);
+            assert_eq!(r.evaluations, budget.mls_evals(), "{budget:?}");
+        }
+        assert_eq!(paper.mls_evals(), 24_000);
+        // the paper-tuning benchmark's budget stays where it was
+        assert_eq!(CampaignBudget::quick(20, 1).mls_evals(), 48);
+        assert_eq!(CampaignBudget::quick(24, 1).mls_evals(), 56);
     }
 
     #[test]

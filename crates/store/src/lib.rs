@@ -29,8 +29,9 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Namespaced byte-oriented key-value persistence.
 ///
@@ -94,7 +95,10 @@ pub fn validate_component(s: &str, allow_empty: bool) -> io::Result<()> {
 /// Writes go through a dot-prefixed temp file in the same directory and
 /// an atomic rename, so a crash mid-`put` never leaves a torn value for
 /// the next process to read — the same discipline the eval-cache flush
-/// has always used.
+/// has always used. The temp file is fsynced before the rename and the
+/// directory after it, so a `put` that returned survives a power loss
+/// too; each call writes its own temp file (process id plus a
+/// per-process counter), so concurrent `put`s of one key never share one.
 #[derive(Debug, Clone)]
 pub struct DiskStorage {
     root: PathBuf,
@@ -142,12 +146,19 @@ impl Storage for DiskStorage {
         let path = self.file(namespace, key)?;
         let dir = self.dir(namespace);
         std::fs::create_dir_all(&dir)?;
+        // Relaxed: the counter only has to hand out distinct numbers.
+        static PUTS: AtomicU64 = AtomicU64::new(0);
+        let n = PUTS.fetch_add(1, Ordering::Relaxed);
         // Dot-prefixed temp name: `scan` skips dot files and
         // `validate_component` rejects dot keys, so the temp file can
         // never shadow or collide with a real key.
-        let tmp = dir.join(format!(".tmp.{key}"));
-        std::fs::write(&tmp, value)?;
-        std::fs::rename(&tmp, &path)
+        let tmp = dir.join(format!(".tmp.{key}.{}.{n}", std::process::id()));
+        let written = write_synced(&tmp, value).and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        sync_dir(&dir)
     }
 
     fn scan(&self, namespace: &str) -> io::Result<Vec<String>> {
@@ -184,6 +195,22 @@ impl Storage for DiskStorage {
             Err(e) => Err(e),
         }
     }
+}
+
+/// Writes `value` to a new file at `path` and fsyncs it.
+fn write_synced(path: &std::path::Path, value: &[u8]) -> io::Result<()> {
+    let mut f = std::fs::File::create(path)?;
+    f.write_all(value)?;
+    f.sync_all()
+}
+
+/// Fsyncs a directory, making a rename inside it durable. Directories
+/// cannot be opened as files off Unix, where this is a no-op.
+fn sync_dir(dir: &std::path::Path) -> io::Result<()> {
+    if cfg!(unix) {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// In-memory backend: a mutex-guarded ordered map. `scan` order falls out
@@ -291,6 +318,53 @@ mod tests {
     fn disk_backend_round_trips() {
         let root = temp_root("roundtrip");
         exercise(&DiskStorage::new(&root));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every file name under `dir` that starts with a dot.
+    fn dot_files(dir: &std::path::Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with('.'))
+            .collect()
+    }
+
+    #[test]
+    fn disk_put_round_trips_and_leaves_no_temp_file() {
+        let root = temp_root("durable");
+        let s = DiskStorage::new(&root);
+        s.put("ns", "k", b"one").unwrap();
+        s.put("ns", "k", b"two").unwrap();
+        s.put("", "top", b"root").unwrap();
+        assert_eq!(s.get("ns", "k").unwrap().as_deref(), Some(&b"two"[..]));
+        assert_eq!(s.get("", "top").unwrap().as_deref(), Some(&b"root"[..]));
+        assert_eq!(dot_files(&root.join("ns")), Vec::<String>::new());
+        assert_eq!(dot_files(&root), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_never_share_a_temp_file() {
+        let root = temp_root("racing");
+        let s = DiskStorage::new(&root);
+        let values: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4096]).collect();
+        let start = std::sync::Barrier::new(values.len());
+        std::thread::scope(|scope| {
+            for v in &values {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..16 {
+                        s.put("ns", "hot", v).unwrap();
+                    }
+                });
+            }
+        });
+        // whole values only: the last rename wins, never a torn mix
+        let got = s.get("ns", "hot").unwrap().unwrap();
+        assert!(values.contains(&got));
+        assert_eq!(dot_files(&root.join("ns")), Vec::<String>::new());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -239,6 +239,93 @@ proptest! {
     }
 
     #[test]
+    fn shadow_ladder_never_rejects_a_decodable_link(
+        seed in 0u64..u64::MAX,
+        a in 0usize..1_000_000,
+        sigma_idx in 0usize..5,
+        power_idx in 0usize..4,
+        frac in 0.0f64..1.0,
+        rel in 1e-15f64..1e-6,
+    ) {
+        // The shadowed decode's log-free reject is exact: whenever the
+        // ladder rejects a link from its hash and squared distance, the
+        // exact dB test `rx_dbm + link_shadowing_db ≥ sensitivity`
+        // rejects it too. Distances sit just inside and just outside
+        // every rung's hi² (where a wrong gain bound would show first)
+        // and uniformly over the bounded-tail decode disc.
+        use manet::radio::{
+            link_hash, link_shadowing_db, shadow_from_uniforms, shadow_uniforms, ShadowLadder,
+            SHADOW_LADDER_RUNGS,
+        };
+        let sigma = [0.5, 2.5, 4.0, 6.25, 8.0][sigma_idx];
+        let tx = [16.02, 20.0, 10.0, 5.0][power_idx];
+        let mut radio = manet::RadioConfig::paper();
+        radio.shadowing_sigma_db = sigma;
+        let (pl, sens) = (radio.path_loss, radio.rx_sensitivity_dbm);
+        let ladder = ShadowLadder::new(&radio, tx);
+        let disc2 = radio.max_decode_range(tx).powi(2) * (1.0 + 1e-6);
+        for j in 0..64usize {
+            let b = a + 1 + j * 7919;
+            let u = shadow_uniforms(link_hash(seed, a, b));
+            let s = link_shadowing_db(sigma, seed, a, b);
+            prop_assert_eq!(shadow_from_uniforms(sigma, u).to_bits(), s.to_bits());
+            let k = j % SHADOW_LADDER_RUNGS;
+            let h = ladder.hi2(k);
+            let mut d2s = vec![
+                h,
+                h.next_up(),
+                h.next_down(),
+                h * (1.0 + rel),
+                h * (1.0 - rel),
+                ((j as f64 + frac) / 64.0) * disc2,
+            ];
+            d2s.retain(|d2| *d2 >= 0.0);
+            for d2 in d2s {
+                if ladder.rejects(d2, u) {
+                    let rx = pl.rx_dbm(tx, d2.sqrt()) + s;
+                    prop_assert!(
+                        rx < sens,
+                        "rejected a decodable link: σ={sigma} tx={tx} k={k} d²={d2} S={s} rx={rx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_ladder_u1_bound_keeps_the_radius_below_its_rung(
+        rel in 0.0f64..1e-6,
+        u2 in 0.0f64..1.0,
+        sigma_idx in 0usize..5,
+    ) {
+        // The ladder's `u1 ≥ U_k` test claims the Box–Muller radius is
+        // strictly below the rung's gain g_k, so the link's gain is at
+        // most σ·g_k. Pin it on every rung at U_k and the 64 floats
+        // above it, where the rounding of `exp`/`ln`/`sqrt` lives, with
+        // `u2 = 0` (cos = 1, the largest gain for that radius) and with a
+        // random `u2`.
+        use manet::radio::{
+            shadow_from_uniforms, ShadowLadder, SHADOW_LADDER_RUNGS, SHADOW_LADDER_STEP,
+        };
+        let sigma = [0.5, 2.5, 4.0, 6.25, 8.0][sigma_idx];
+        let mut radio = manet::RadioConfig::paper();
+        radio.shadowing_sigma_db = sigma;
+        let ladder = ShadowLadder::new(&radio, radio.default_tx_dbm);
+        for k in 1..SHADOW_LADDER_RUNGS {
+            let g = k as f64 * SHADOW_LADDER_STEP;
+            let mut u1 = ladder.u1_min(k);
+            for _ in 0..64 {
+                for u1 in [u1, u1 * (1.0 + rel)] {
+                    let radius = shadow_from_uniforms(1.0, (u1, 0.0));
+                    prop_assert!(radius < g, "k={k}: u1={u1} gives radius {radius} ≥ {g}");
+                    prop_assert!(shadow_from_uniforms(sigma, (u1, u2)) <= sigma * g);
+                }
+                u1 = u1.next_up();
+            }
+        }
+    }
+
+    #[test]
     fn spatial_window_interference_sums_match_flat_window(
         side in 300.0f64..3000.0,
         n_frames in 1usize..120,
@@ -568,7 +655,7 @@ proptest! {
         seed in 0u64..10_000,
         n_band in 24usize..60,
         n_walk in 6usize..16,
-        power_idx in 0usize..3,
+        power_idx in 0usize..4,
         shadowed_i in 0usize..2,
         width in 600.0f64..1400.0,
     ) {
@@ -581,17 +668,16 @@ proptest! {
         // mobility event ever forces a flush — the batch-cap path runs),
         // a mobile population whose mid-run re-anchors and grid refreshes
         // land between batches, a second transmit-power class, and
-        // optionally shadowed links.
+        // optionally shadowed links at σ = 8 dB (wide enough that the
+        // shadowed decode's reject ladder works on every rung).
         use manet::geometry::Vec2;
         use manet::mobility::MobilityModel;
         use manet::world::{NodeGroup, WorldSpec};
         let shadowed = shadowed_i == 1;
-        let other_power = [10.0, 5.0, 16.02][power_idx];
+        let other_power = [10.0, 5.0, 16.02, 20.0][power_idx];
         let build = || {
             let mut radio = manet::RadioConfig::paper();
-            if !shadowed {
-                radio.shadowing_sigma_db = 0.0;
-            }
+            radio.shadowing_sigma_db = if shadowed { 8.0 } else { 0.0 };
             WorldSpec::builder()
                 .area(width, 300.0)
                 .radio(radio)
