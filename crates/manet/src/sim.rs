@@ -454,6 +454,14 @@ struct World {
     metrics: BroadcastMetrics,
     counters: SimCounters,
     broadcast_started: bool,
+    /// Queued events that will call into the protocol: armed timers plus
+    /// data frames on air (each frame end calls `on_receive`). Zero after
+    /// the broadcast started means no callback can ever run again (see
+    /// [`beacon_unread`](World::beacon_unread)).
+    protocol_events: u64,
+    /// Test-only fully maintained neighbour tables (see [`ShadowTables`]).
+    #[cfg(test)]
+    shadow: Option<ShadowTables>,
     /// Spatial index over node positions (see module docs).
     grid: SpatialGrid,
     /// Flat SoA copy of every node's current mobility segment — the
@@ -647,12 +655,12 @@ struct ShardWorker {
     /// the current flush, in ascending query order (each worker scans the
     /// batch in order, so its results are naturally sorted).
     results: Vec<(u32, u32, u32)>,
-    /// Flat `(receiver, rx_dbm)` deliveries the `results` ranges index.
+    /// Flat `(receiver, rx_dbm)` deliveries the `results` ranges index
+    /// (none for an unread beacon, which only counts).
     deliveries: Vec<(NodeId, f64)>,
-    /// Loss tallies of the current flush — order-free u64 sums, folded
-    /// into the world counters at merge time.
-    half_duplex_losses: u64,
-    collision_losses: u64,
+    /// Reception and loss tallies of the current flush — order-free u64
+    /// sums, folded into the world counters at merge time.
+    tally: QueryTally,
 }
 
 /// State of space-sharded delivery resolution (see
@@ -662,8 +670,10 @@ struct ShardedDelivery {
     shards: usize,
     pool: ShardPool,
     workers: Vec<ShardWorker>,
-    /// Beacon TxEnds queued since the last flush, in event order.
-    pending: Vec<Transmission>,
+    /// Beacon TxEnds queued since the last flush, in event order, each
+    /// with whether a protocol can read its receptions
+    /// ([`World::beacon_unread`] at its frame end).
+    pending: Vec<(Transmission, bool)>,
     /// Per-worker result cursors of the merge step (reused scratch).
     cursors: Vec<usize>,
 }
@@ -690,6 +700,47 @@ impl WorkerPtr {
 /// early is always safe — a flush point merely resolves the queued
 /// queries exactly as the sequential path already would have.
 const SHARD_BATCH_CAP: usize = 1024;
+
+/// Test-only fully maintained neighbour tables: every beacon reception,
+/// read or not, observed with its exact received power from the naive
+/// per-receiver test ([`World::receive_outcome`]). Installed, it makes
+/// every protocol read assert that the simulator's tables, whose dead
+/// writes [`World::beacon_unread`] elides, answer exactly as these do.
+#[cfg(test)]
+struct ShadowTables {
+    tables: Vec<NeighborTable>,
+    /// Protocol reads checked so far.
+    reads: std::cell::Cell<u64>,
+}
+
+#[cfg(test)]
+impl ShadowTables {
+    fn check_read(&self, node: NodeId, now: f64, got: &[NeighborEntry]) {
+        self.reads.set(self.reads.get() + 1);
+        assert_eq!(
+            got,
+            self.tables[node].live(now),
+            "table of node {node} read at {now}"
+        );
+    }
+}
+
+/// What one delivery query (or a batch of them) counted: successful
+/// receptions and the two kinds of loss. Order-free u64 sums.
+#[derive(Debug, Clone, Copy, Default)]
+struct QueryTally {
+    received: u64,
+    half_duplex: u64,
+    collided: u64,
+}
+
+impl std::ops::AddAssign for QueryTally {
+    fn add_assign(&mut self, other: QueryTally) {
+        self.received += other.received;
+        self.half_duplex += other.half_duplex;
+        self.collided += other.collided;
+    }
+}
 
 /// Outcome of the exact per-receiver delivery test.
 enum Reception {
@@ -724,6 +775,9 @@ impl World {
             metrics,
             counters: SimCounters::default(),
             broadcast_started: false,
+            protocol_events: 0,
+            #[cfg(test)]
+            shadow: None,
             grid,
             snapshot,
             refresh_gen: Vec::new(),
@@ -852,6 +906,7 @@ impl World {
         self.metrics.reset(spec.source, spec.broadcast_time);
         self.counters = SimCounters::default();
         self.broadcast_started = false;
+        self.protocol_events = 0;
         self.candidate_scratch.clear();
         self.delivery_scratch.clear();
         self.max_gate_r = 0.0;
@@ -885,8 +940,7 @@ impl World {
                 w.scratch.reset(n_cells, n);
                 w.results.clear();
                 w.deliveries.clear();
-                w.half_duplex_losses = 0;
-                w.collision_losses = 0;
+                w.tally = QueryTally::default();
             }
         }
         self.refresh_gen.clear();
@@ -1067,45 +1121,93 @@ impl World {
         Reception::Delivered(rx_dbm)
     }
 
-    fn record_loss(&mut self, tx: &Transmission, outcome: &Reception) {
-        match outcome {
-            Reception::HalfDuplex => {
-                self.counters.half_duplex_losses += 1;
-                if tx.kind == FrameKind::Data {
-                    self.metrics.collisions += 1;
+    /// Feeds the frame ending under `key` to the installed
+    /// [`ShadowTables`], if any: a beacon's receivers, found by the naive
+    /// scan at its frame end, each observe it with their exact power.
+    #[cfg(test)]
+    fn shadow_observe(&mut self, key: u32) {
+        let Some(mut shadow) = self.shadow.take() else {
+            return;
+        };
+        let tx = *self.txs.get(key);
+        if tx.kind == FrameKind::Beacon {
+            for r in (0..self.n_nodes).filter(|&r| r != tx.sender) {
+                if let Reception::Delivered(rx_dbm) = self.receive_outcome(&tx, r) {
+                    shadow.tables[r].observe(tx.sender, rx_dbm, tx.tx_dbm, tx.end);
                 }
             }
-            Reception::Collided => {
-                self.counters.collision_losses += 1;
-                if tx.kind == FrameKind::Data {
-                    self.metrics.collisions += 1;
-                }
+        }
+        self.shadow = Some(shadow);
+    }
+
+    /// Folds the receptions and losses of one or more queries of `kind`
+    /// frames into the world counters: u64 sums, so folding per receiver,
+    /// per query or per sharded batch is identical.
+    fn apply_tally(&mut self, kind: FrameKind, tally: QueryTally) {
+        match kind {
+            FrameKind::Beacon => self.counters.beacons_received += tally.received,
+            FrameKind::Data => {
+                self.counters.data_received += tally.received;
+                self.metrics.collisions += (tally.half_duplex + tally.collided) as usize;
             }
-            Reception::OutOfRange | Reception::Delivered(_) => {}
+        }
+        self.counters.half_duplex_losses += tally.half_duplex;
+        self.counters.collision_losses += tally.collided;
+    }
+
+    /// The read horizon: whether the receptions of a beacon ending at `t`
+    /// can never be seen by a protocol, so recording them in the
+    /// neighbour tables (and computing the received power only those
+    /// records need) is a dead write. Such a beacon still counts its
+    /// receptions and losses; only the table writes are skipped.
+    ///
+    /// Tables are read only through [`ProtocolApi`], and only a protocol
+    /// callback holds one: `on_start` at the broadcast, `on_timer`, and
+    /// `on_receive` at a data frame's end. A read at time `now` returns
+    /// the entries with `now − last_seen ≤ neighbor_expiry`, each id's
+    /// latest write winning. A write no read can return changes no read:
+    /// a later write of the same id overwrites it, and an earlier one is
+    /// older still, so it is unreadable too. Eviction drops only stale
+    /// entries, which reads filter anyway. A reception at `t` is dead in
+    /// two cases:
+    ///
+    /// * **Warm-up.** The broadcast has not started and
+    ///   `broadcast_time − t > neighbor_expiry`. Every callback runs at
+    ///   `now ≥ broadcast_time`, and float subtraction is monotone in its
+    ///   first operand, so `now − t ≥ broadcast_time − t > expiry`: the
+    ///   read's own compare rejects the entry.
+    /// * **Quiescence.** The broadcast has started and
+    ///   [`protocol_events`](World::protocol_events) is zero: no timer is
+    ///   armed and no data frame is on air. Callbacks only arise from those
+    ///   events, and new ones are only queued from callbacks, so no
+    ///   callback ever runs again.
+    ///
+    /// Every [`DeliveryMode`] and the sharded path apply this one rule at
+    /// the beacon's frame end, so reports, counters and every protocol
+    /// read stay bit-identical; [`Simulator`] tests pin it against
+    /// fully maintained tables at every read. Reads from outside a
+    /// callback (a harness inspecting `tables` mid-run) are outside the
+    /// contract.
+    fn beacon_unread(&self, t: f64) -> bool {
+        if self.broadcast_started {
+            self.protocol_events == 0
+        } else {
+            self.spec.broadcast_time - t > self.spec.neighbor_expiry
         }
     }
 
-    /// Folds a query's loss tallies (from [`resolve_query`]) into the
-    /// world counters — the counting equivalent of per-receiver
-    /// [`record_loss`](World::record_loss) calls: u64 sums, so applying
-    /// them per receiver or in bulk is identical.
-    fn apply_losses(&mut self, tx: &Transmission, half_duplex: u64, collided: u64) {
-        self.counters.half_duplex_losses += half_duplex;
-        self.counters.collision_losses += collided;
-        if tx.kind == FrameKind::Data {
-            self.metrics.collisions += (half_duplex + collided) as usize;
-        }
-    }
-
-    /// Successful receivers of `tx` under propagation, half-duplex and
-    /// capture rules, appended to `out` as `(node, rx_dbm)` in ascending
-    /// node order. The candidate pre-filter depends on the
-    /// [`DeliveryMode`]; the exact per-receiver test is shared arithmetic
-    /// (see [`compute_deliveries_snapshot`]), so every mode produces
-    /// identical results.
+    /// Resolves `tx` under propagation, half-duplex and capture rules and
+    /// counts its receptions and losses ([`apply_tally`](World::apply_tally)).
+    /// With `out`, the receivers are also appended as `(node, rx_dbm)` in
+    /// ascending node order; without it the query only counts (a beacon
+    /// nobody can read, see [`beacon_unread`](World::beacon_unread)), which
+    /// lets the snapshot path skip received powers no compare needs. The candidate
+    /// pre-filter depends on the [`DeliveryMode`]; the exact per-receiver
+    /// test is shared arithmetic (see [`compute_deliveries_snapshot`]), so
+    /// every mode produces identical results.
     ///
     /// [`compute_deliveries_snapshot`]: World::compute_deliveries_snapshot
-    fn compute_deliveries(&mut self, tx: &Transmission, out: &mut Vec<(NodeId, f64)>) {
+    fn compute_deliveries(&mut self, tx: &Transmission, out: Option<&mut Vec<(NodeId, f64)>>) {
         let t_start = self.profile_on.then(Instant::now);
         // Transmissions that ended at or before this frame's start can no
         // longer overlap it — nor any future frame, since simulation time
@@ -1158,7 +1260,7 @@ impl World {
     fn compute_deliveries_snapshot(
         &mut self,
         tx: &Transmission,
-        out: &mut Vec<(NodeId, f64)>,
+        out: Option<&mut Vec<(NodeId, f64)>>,
         t_start: Option<Instant>,
     ) {
         let ctx = QueryCtx {
@@ -1170,8 +1272,8 @@ impl World {
             capture_ratio_mw: self.capture_ratio_mw,
             extra_reach: self.max_gate_r.max(self.hd_reach),
         };
-        let (half_duplex, collided) = resolve_query(&ctx, &mut self.scratch, tx, t_start, out);
-        self.apply_losses(tx, half_duplex, collided);
+        let tally = resolve_query(&ctx, &mut self.scratch, tx, t_start, out);
+        self.apply_tally(tx.kind, tally);
     }
 
     /// The historical delivery queries, kept verbatim as measured
@@ -1182,7 +1284,7 @@ impl World {
     fn compute_deliveries_historical(
         &mut self,
         tx: &Transmission,
-        out: &mut Vec<(NodeId, f64)>,
+        mut out: Option<&mut Vec<(NodeId, f64)>>,
         t_start: Option<Instant>,
     ) {
         let mut candidates = std::mem::take(&mut self.candidate_scratch);
@@ -1211,16 +1313,24 @@ impl World {
             candidates.sort_unstable();
         }
         let t_mid = self.profile_on.then(Instant::now);
+        let mut tally = QueryTally::default();
         for &r in &candidates {
             if r == tx.sender {
                 continue;
             }
-            let outcome = self.receive_outcome(tx, r);
-            self.record_loss(tx, &outcome);
-            if let Reception::Delivered(rx_dbm) = outcome {
-                out.push((r, rx_dbm));
+            match self.receive_outcome(tx, r) {
+                Reception::OutOfRange => {}
+                Reception::HalfDuplex => tally.half_duplex += 1,
+                Reception::Collided => tally.collided += 1,
+                Reception::Delivered(rx_dbm) => {
+                    tally.received += 1;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push((r, rx_dbm));
+                    }
+                }
             }
         }
+        self.apply_tally(tx.kind, tally);
         self.candidate_scratch = candidates;
         self.record_profile(t_start, t_mid);
     }
@@ -1272,8 +1382,12 @@ impl World {
     /// (batch cap reached). Only called when sharding is active on the
     /// incremental path.
     fn defer_beacon_txend(&mut self, tx: &Transmission) -> bool {
+        // Decided now, at the frame end, exactly as the sequential
+        // dispatch would (only beacon events run before the flush, and
+        // they change neither input of the rule).
+        let read = !self.beacon_unread(tx.end);
         let sd = self.shard.as_mut().expect("sharding checked by caller");
-        sd.pending.push(*tx);
+        sd.pending.push((*tx, read));
         sd.pending.len() >= SHARD_BATCH_CAP
     }
 
@@ -1313,17 +1427,20 @@ impl World {
     ///   bounds how far a receiver's own overlapping frame can sit from
     ///   its current position — so the set of own-frames a query can see
     ///   is identical at any gather radius at or beyond it.
-    /// * **Merge**: deliveries are applied (neighbour-table observes,
-    ///   counters) by replaying the batch in event order, each query
-    ///   stamped with its own `tx.end` — exactly the clock the sequential
-    ///   dispatch would have observed. Loss tallies are u64 sums, so
-    ///   per-worker accumulation cannot reorder anything observable.
+    /// * **Merge**: deliveries are applied (neighbour-table observes) by
+    ///   replaying the batch in event order, each query stamped with its
+    ///   own `tx.end` — exactly the clock the sequential dispatch would
+    ///   have observed. A query deferred as unread
+    ///   ([`beacon_unread`](World::beacon_unread), decided at deferral)
+    ///   resolves count-only and leaves nothing to observe. Reception and
+    ///   loss tallies are u64 sums, so per-worker accumulation cannot
+    ///   reorder anything observable.
     ///
     /// Queries never touch the RNG, and shadowing draws are pure hashes,
     /// so no stochastic state is involved at all.
     fn flush_sharded(&mut self) {
         let Some(sd) = &self.shard else { return };
-        let Some(first) = sd.pending.first() else {
+        let Some((first, _)) = sd.pending.first() else {
             return;
         };
         // Prune both views of the active set to the earliest queued
@@ -1355,16 +1472,14 @@ impl World {
                 // SAFETY: each worker index runs on exactly one thread of
                 // this dispatch, so the slot is exclusively borrowed.
                 let w = unsafe { &mut *workers.slot(k) };
-                for (qi, tx) in pending.iter().enumerate() {
+                for (qi, (tx, read)) in pending.iter().enumerate() {
                     if geom.stripe_of(tx.pos, shards) != k {
                         continue;
                     }
                     let t_start = profile_on.then(Instant::now);
                     let start = w.deliveries.len() as u32;
-                    let (hd, col) =
-                        resolve_query(&ctx, &mut w.scratch, tx, t_start, &mut w.deliveries);
-                    w.half_duplex_losses += hd;
-                    w.collision_losses += col;
+                    let out = read.then_some(&mut w.deliveries);
+                    w.tally += resolve_query(&ctx, &mut w.scratch, tx, t_start, out);
                     let len = w.deliveries.len() as u32 - start;
                     w.results.push((qi as u32, start, len));
                 }
@@ -1374,7 +1489,7 @@ impl World {
         // per worker (each worker's results are already in that order).
         sd.cursors.clear();
         sd.cursors.resize(shards, 0);
-        for (qi, tx) in sd.pending.iter().enumerate() {
+        for (qi, (tx, _)) in sd.pending.iter().enumerate() {
             let k = geom.stripe_of(tx.pos, shards);
             let cursor = sd.cursors[k];
             sd.cursors[k] += 1;
@@ -1382,7 +1497,6 @@ impl World {
             debug_assert_eq!(rqi as usize, qi, "owner replays queries in order");
             // Beacon effects, stamped with the query's own end time — the
             // clock the sequential dispatch observes at this TxEnd.
-            self.counters.beacons_received += len as u64;
             observe_all(
                 &mut self.tables,
                 tx.sender,
@@ -1392,15 +1506,12 @@ impl World {
             );
         }
         for w in &mut sd.workers {
-            self.counters.half_duplex_losses += w.half_duplex_losses;
-            self.counters.collision_losses += w.collision_losses;
-            w.half_duplex_losses = 0;
-            w.collision_losses = 0;
+            self.apply_tally(FrameKind::Beacon, std::mem::take(&mut w.tally));
         }
         // Re-apply the cumulative prune the sequential per-query prunes
         // would have left behind (see the doc comment): the latest queued
         // start is the running-maximum threshold for whatever follows.
-        let t_last = sd.pending.iter().fold(t0, |m, tx| m.max(tx.start));
+        let t_last = sd.pending.iter().fold(t0, |m, (tx, _)| m.max(tx.start));
         self.active.prune(t_last);
         self.frames.prune(t_last);
         sd.pending.clear();
@@ -1427,18 +1538,20 @@ const GRID_CELL_DIVISOR: f64 = 2.0;
 /// [`World::compute_deliveries_snapshot`].
 ///
 /// Reads only the frozen [`QueryCtx`], mutates only the caller's
-/// [`QueryScratch`], and appends successful deliveries to `out` in
-/// ascending node order. Loss outcomes are returned as `(half_duplex,
-/// collided)` counts instead of being recorded — order-free u64 tallies
-/// the caller folds into the world counters
-/// ([`World::apply_losses`]).
+/// [`QueryScratch`], and appends successful deliveries to `out`, when
+/// given, in ascending node order. Without `out` (an unread beacon, see
+/// [`World::beacon_unread`]) a delivery is only counted, so a receiver
+/// with no interference never pays the deferred `log10`. Receptions and
+/// losses are returned as a [`QueryTally`] instead of being recorded —
+/// order-free u64 tallies the caller folds into the world counters
+/// ([`World::apply_tally`]).
 fn resolve_query(
     ctx: &QueryCtx<'_>,
     s: &mut QueryScratch,
     tx: &Transmission,
     t_start: Option<Instant>,
-    out: &mut Vec<(NodeId, f64)>,
-) -> (u64, u64) {
+    mut out: Option<&mut Vec<(NodeId, f64)>>,
+) -> QueryTally {
     let profile_on = t_start.is_some();
     let mut filtered = std::mem::take(&mut s.filtered);
     filtered.clear();
@@ -1537,8 +1650,8 @@ fn resolve_query(
     let t_int = profile_on.then(Instant::now);
     let floor = sens - INTERFERENCE_FLOOR_DB;
     let capture_ratio = ctx.capture_ratio_mw;
-    let mut half_duplex = 0u64;
-    let mut collided = 0u64;
+    let keep = out.is_some();
+    let mut tally = QueryTally::default();
     for &(rid, rpos, d2, rx0) in &decodable {
         let interference = if sigma <= 0.0 {
             // Unshadowed: skip by the exact floor threshold, add no
@@ -1583,19 +1696,24 @@ fn resolve_query(
                 },
             )
         };
-        if let Some(interference_mw) = interference {
-            let rx = if rx0.is_nan() {
-                pl.rx_dbm(tx.tx_dbm, d2.sqrt())
-            } else {
-                rx0
-            };
-            if interference_mw > 0.0 && dbm_to_mw(rx) < capture_ratio * interference_mw {
-                collided += 1;
-            } else {
+        let Some(interference_mw) = interference else {
+            tally.half_duplex += 1;
+            continue;
+        };
+        // The deferred received power, when the capture compare or a kept
+        // delivery needs it; otherwise it stays NaN and is never read.
+        let rx = if rx0.is_nan() && (interference_mw > 0.0 || keep) {
+            pl.rx_dbm(tx.tx_dbm, d2.sqrt())
+        } else {
+            rx0
+        };
+        if interference_mw > 0.0 && dbm_to_mw(rx) < capture_ratio * interference_mw {
+            tally.collided += 1;
+        } else {
+            tally.received += 1;
+            if let Some(out) = out.as_deref_mut() {
                 out.push((rid, rx));
             }
-        } else {
-            half_duplex += 1;
         }
     }
 
@@ -1609,7 +1727,7 @@ fn resolve_query(
         s.profile.decode_s += (dec - mid).as_secs_f64();
         s.profile.interference_s += (done - intf).as_secs_f64();
     }
-    (half_duplex, collided)
+    tally
 }
 
 /// The shared interference/half-duplex frame loop of the fused delivery
@@ -1705,6 +1823,7 @@ impl ProtocolApi for World {
     }
 
     fn set_timer(&mut self, node: NodeId, delay: f64, tag: u64) {
+        self.protocol_events += 1;
         self.queue.schedule_in(
             delay,
             Event::Timer {
@@ -1715,15 +1834,22 @@ impl ProtocolApi for World {
     }
 
     fn transmit(&mut self, node: NodeId, tx_dbm: f64) {
+        self.protocol_events += 1;
         self.start_transmission(node, tx_dbm, FrameKind::Data);
     }
 
     fn neighbors(&self, node: NodeId) -> Vec<NeighborEntry> {
-        self.tables[node].live(self.queue.now())
+        let mut out = Vec::new();
+        self.neighbors_into(node, &mut out);
+        out
     }
 
     fn neighbors_into(&self, node: NodeId, out: &mut Vec<NeighborEntry>) {
         self.tables[node].live_into(self.queue.now(), out);
+        #[cfg(test)]
+        if let Some(shadow) = &self.shadow {
+            shadow.check_read(node, self.queue.now(), out);
+        }
     }
 
     fn default_tx_dbm(&self) -> f64 {
@@ -1994,6 +2120,10 @@ impl<P: Protocol> Simulator<P> {
                 break;
             }
             let (_, ev) = self.world.queue.pop().expect("peeked event vanished");
+            #[cfg(test)]
+            if let Event::TxEnd(key) = ev {
+                self.world.shadow_observe(key);
+            }
             if self.world.shard.is_some() && self.world.mode == DeliveryMode::Incremental {
                 match ev {
                     Event::TxEnd(key) if self.world.txs.get(key).kind == FrameKind::Beacon => {
@@ -2058,13 +2188,15 @@ impl<P: Protocol> Simulator<P> {
             }
             Event::TxEnd(key) => {
                 let tx = self.world.txs.remove(key);
+                let now = self.world.queue.now();
                 let mut deliveries = std::mem::take(&mut self.world.delivery_scratch);
                 deliveries.clear();
-                self.world.compute_deliveries(&tx, &mut deliveries);
                 match tx.kind {
                     FrameKind::Beacon => {
-                        let now = self.world.queue.now();
-                        self.world.counters.beacons_received += deliveries.len() as u64;
+                        // Receptions no protocol can read only count.
+                        let read = !self.world.beacon_unread(now);
+                        self.world
+                            .compute_deliveries(&tx, read.then_some(&mut deliveries));
                         observe_all(
                             &mut self.world.tables,
                             tx.sender,
@@ -2074,8 +2206,8 @@ impl<P: Protocol> Simulator<P> {
                         );
                     }
                     FrameKind::Data => {
-                        let now = self.world.queue.now();
-                        self.world.counters.data_received += deliveries.len() as u64;
+                        self.world.protocol_events -= 1;
+                        self.world.compute_deliveries(&tx, Some(&mut deliveries));
                         for &(r, rx_dbm) in &deliveries {
                             self.world.metrics.record_reception(r, now);
                             self.protocol
@@ -2087,6 +2219,7 @@ impl<P: Protocol> Simulator<P> {
             }
             Event::Timer { node, tag } => {
                 self.world.counters.timers_fired += 1;
+                self.world.protocol_events -= 1;
                 self.protocol.on_timer(node as NodeId, tag, &mut self.world);
             }
             Event::StartBroadcast(node) => {
@@ -2101,6 +2234,7 @@ impl<P: Protocol> Simulator<P> {
 mod tests {
     use super::*;
     use crate::protocol::{Flooding, SourceOnly};
+    use crate::world::NodeGroup;
 
     fn dense_config(seed: u64) -> SimConfig {
         // 50 nodes in a small field: fully connected at default power.
@@ -2448,7 +2582,7 @@ mod tests {
                 Event::TxEnd(key) => {
                     let tx = world.txs.remove(key);
                     ds.clear();
-                    world.compute_deliveries(&tx, &mut ds);
+                    world.compute_deliveries(&tx, Some(&mut ds));
                     let now = world.queue.now();
                     if tx.kind == FrameKind::Beacon {
                         for &(r, rx) in &ds {
@@ -2480,20 +2614,38 @@ mod tests {
         }
     }
 
+    /// Keeps one timer armed for the whole run, so a protocol could read
+    /// any table at any time and no beacon write is ever dead (see
+    /// `World::beacon_unread`): the tables stay fully maintained.
+    struct AlwaysListening;
+
+    impl Protocol for AlwaysListening {
+        fn on_start(&mut self, node: NodeId, api: &mut dyn ProtocolApi) {
+            api.set_timer(node, 0.5, 0);
+        }
+        fn on_receive(&mut self, _: NodeId, _: NodeId, _: f64, _: &mut dyn ProtocolApi) {}
+        fn on_timer(&mut self, node: NodeId, _: u64, api: &mut dyn ProtocolApi) {
+            api.set_timer(node, 0.5, 0);
+        }
+    }
+
     #[test]
     fn neighbor_tables_keep_only_live_neighbours_in_a_fast_walking_world() {
         // Nodes walking at 20–40 m/s turn their neighbourhoods over many
         // times in a run. A table that never evicts keeps every neighbour
         // it ever heard (its memory grows with the run); the store keeps
-        // at most the neighbours live at its latest insertion.
+        // at most the neighbours live at its latest insertion. The
+        // broadcast starts at t = 0 and a timer stays armed, so the tables
+        // are readable (and hence written) for the whole run.
         let mut c = SimConfig::paper(400, 5);
         c.field = Field::new(2000.0, 2000.0);
         c.speed_range = (20.0, 40.0);
         c.mobility = MobilityModel::RandomWalk {
             change_interval: 2.0,
         };
+        c.broadcast_time = 0.0;
         let n = c.n_nodes;
-        let mut sim = Simulator::new(c.clone(), SourceOnly);
+        let mut sim = Simulator::new(c.clone(), AlwaysListening);
         let mut heard = vec![std::collections::BTreeSet::new(); n];
         let mut t = 0.0;
         while t < c.end_time {
@@ -2518,6 +2670,215 @@ mod tests {
             stored * 2 < ever,
             "tables hold {stored} entries for {ever} neighbours ever heard"
         );
+    }
+
+    /// Reads neighbour tables at every callback: every table at the
+    /// broadcast start, the receiver's on each data reception, two per
+    /// timer. Timers go off at seeded random times — at the start itself,
+    /// just after it, spread over the next seconds, and after idle gaps
+    /// longer than the expiry — and a quarter of them transmit. After
+    /// `budget` timers each chain ends with a frame and arms nothing, so
+    /// the run ends quiet.
+    struct HorizonProbe {
+        rng: SmallRng,
+        n: usize,
+        expiry: f64,
+        budget: u32,
+        buf: Vec<NeighborEntry>,
+    }
+
+    impl HorizonProbe {
+        fn new(spec: &WorldSpec) -> Self {
+            HorizonProbe {
+                rng: SmallRng::seed_from_u64(spec.seed),
+                n: spec.n_nodes(),
+                expiry: spec.neighbor_expiry,
+                budget: 24,
+                buf: Vec::new(),
+            }
+        }
+
+        fn delay(&mut self) -> f64 {
+            // One gap in five outlasts the expiry.
+            if self.rng.gen::<f64>() < 0.2 {
+                self.expiry * (1.0 + self.rng.gen::<f64>())
+            } else {
+                0.8 * self.rng.gen::<f64>()
+            }
+        }
+    }
+
+    impl Protocol for HorizonProbe {
+        fn on_start(&mut self, node: NodeId, api: &mut dyn ProtocolApi) {
+            for i in 0..self.n {
+                api.neighbors_into(i, &mut self.buf);
+            }
+            let p = api.node_tx_dbm(node);
+            api.transmit(node, p);
+            for delay in [0.0, 1e-9, 1e-3] {
+                api.set_timer(node, delay, 0);
+            }
+            for _ in 0..6 {
+                let (other, delay) = (self.rng.gen_range(0..self.n), self.delay());
+                api.set_timer(other, delay, 0);
+            }
+        }
+
+        fn on_receive(&mut self, node: NodeId, _: NodeId, _: f64, api: &mut dyn ProtocolApi) {
+            api.neighbors_into(node, &mut self.buf);
+        }
+
+        fn on_timer(&mut self, node: NodeId, _: u64, api: &mut dyn ProtocolApi) {
+            api.neighbors_into(node, &mut self.buf);
+            let other = self.rng.gen_range(0..self.n);
+            let _ = api.neighbors(other);
+            let p = api.node_tx_dbm(node);
+            if self.budget == 0 {
+                // The chain's last act: a frame with no timer behind it,
+                // so the run's final frame is on air alone.
+                api.transmit(node, p);
+                return;
+            }
+            self.budget -= 1;
+            if self.rng.gen::<f64>() < 0.25 {
+                api.transmit(node, p);
+            }
+            let delay = self.delay();
+            api.set_timer(other, delay, 0);
+        }
+    }
+
+    /// An 80-node world in two power classes (16.02 and 10 dBm) with the
+    /// paper's expiry, broadcasting at 12 s and ending at 26 s. Data frames
+    /// last 50 ms, so several beacons end while one is on air.
+    fn horizon_world(sigma: f64, beacon_interval: f64, seed: u64) -> WorldSpec {
+        let mut radio = RadioConfig::paper();
+        radio.shadowing_sigma_db = sigma;
+        radio.data_duration = 0.05;
+        WorldSpec::builder()
+            .area(400.0, 400.0)
+            .radio(radio)
+            .group(NodeGroup::new(50))
+            .group(NodeGroup::new(30).tx_power_dbm(10.0))
+            .beacon_interval(beacon_interval)
+            .neighbor_expiry(2.5)
+            .broadcast_window(12.0, 26.0)
+            .seed(seed)
+            .build()
+            .unwrap()
+    }
+
+    fn install_shadow<P: Protocol>(sim: &mut Simulator<P>) {
+        let expiry = sim.world.spec.neighbor_expiry;
+        sim.world.shadow = Some(ShadowTables {
+            tables: vec![NeighborTable::new(expiry); sim.world.n_nodes],
+            reads: Default::default(),
+        });
+    }
+
+    /// Runs `spec` under a [`HorizonProbe`] in 0.37 s `run_until` chunks
+    /// under every delivery configuration, the shadow tables checking
+    /// each protocol read, and asserts that the configurations agree, that
+    /// warm-up writes were elided and that the run ended quiet with its
+    /// late writes elided too.
+    fn check_reads_against_shadow(spec: &WorldSpec) {
+        let n = spec.n_nodes();
+        let (bt, expiry, end) = (spec.broadcast_time, spec.neighbor_expiry, spec.end_time);
+        let mut first: Option<SimReport> = None;
+        for (mode, shards) in [
+            (DeliveryMode::Incremental, 1),
+            (DeliveryMode::Naive, 1),
+            (DeliveryMode::Incremental, 2),
+        ] {
+            let label = format!(
+                "{mode:?}, {shards} shard(s), sigma {}",
+                spec.radio.shadowing_sigma_db
+            );
+            let mut sim = Simulator::from_world(spec, HorizonProbe::new(spec));
+            sim.set_delivery_mode(mode);
+            sim.set_delivery_shards(shards);
+            install_shadow(&mut sim);
+            let mut t = 0.0;
+            while t < end {
+                t = end.min(t + 0.37);
+                sim.run_until(t);
+                if bt - t > expiry {
+                    let w = &sim.world;
+                    assert!(
+                        w.tables.iter().all(NeighborTable::is_empty),
+                        "{label}: t {t}"
+                    );
+                    let heard = w
+                        .shadow
+                        .as_ref()
+                        .unwrap()
+                        .tables
+                        .iter()
+                        .any(|s| !s.is_empty());
+                    assert!(heard || t < 1.5, "{label}: no beacon heard by {t}");
+                }
+            }
+            let report = sim.run_to_end();
+            let w = &sim.world;
+            let shadow = w.shadow.as_ref().unwrap();
+            assert!(
+                shadow.reads.get() > n as u64,
+                "{label}: {} reads",
+                shadow.reads.get()
+            );
+            assert_eq!(w.protocol_events, 0, "{label}: the probe must end quiet");
+            assert!(
+                (0..n).any(|i| w.tables[i].live(end) != shadow.tables[i].live(end)),
+                "{label}: no write was elided after the protocol went quiet"
+            );
+            match &first {
+                None => first = Some(report),
+                Some(r) => {
+                    assert_eq!(report.broadcast, r.broadcast, "{label}");
+                    assert_eq!(report.counters, r.counters, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn elided_tables_answer_every_protocol_read_like_full_ones() {
+        for (sigma, seed) in [(0.0, 41), (4.0, 42)] {
+            check_reads_against_shadow(&horizon_world(sigma, 1.0, seed));
+        }
+    }
+
+    #[test]
+    fn read_horizon_is_exact_at_the_expiry_boundary() {
+        // A beacon heard exactly `expiry` before the broadcast is live at
+        // the start's reads (`now − t ≤ expiry`), so eliding it would be
+        // one write too many. Beacons every 3 s outlast the 2.5 s expiry,
+        // so that beacon is still its sender's latest at the start. A
+        // probe run finds a beacon end `t` with `(t + expiry) − t` exactly
+        // `expiry`; the broadcast then starts at `t + expiry`. Times before
+        // the broadcast do not depend on it, so `t` recurs.
+        for (sigma, seed) in [(0.0, 43), (4.0, 44)] {
+            let mut spec = horizon_world(sigma, 3.0, seed);
+            let expiry = spec.neighbor_expiry;
+            let mut probe_spec = spec.clone();
+            probe_spec.broadcast_time = 100.0;
+            probe_spec.end_time = 100.0;
+            let mut probe = Simulator::from_world(&probe_spec, SourceOnly);
+            install_shadow(&mut probe);
+            probe.run_until(15.0);
+            let shadow = probe.world.shadow.as_ref().unwrap();
+            let t = shadow
+                .tables
+                .iter()
+                .flat_map(|table| table.live(15.0))
+                .map(|e| e.last_seen)
+                .filter(|&t| (t + expiry) - t == expiry)
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert!(t > expiry, "no beacon end fits, sigma {sigma}");
+            spec.broadcast_time = t + expiry;
+            spec.end_time = spec.broadcast_time + 8.0;
+            check_reads_against_shadow(&spec);
+        }
     }
 
     #[test]

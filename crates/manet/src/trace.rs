@@ -157,8 +157,14 @@ impl ProtocolApi for RecordingApi<'_> {
     fn neighbors(&self, node: NodeId) -> Vec<crate::neighbor::NeighborEntry> {
         self.inner.neighbors(node)
     }
+    fn neighbors_into(&self, node: NodeId, out: &mut Vec<crate::neighbor::NeighborEntry>) {
+        self.inner.neighbors_into(node, out);
+    }
     fn default_tx_dbm(&self) -> f64 {
         self.inner.default_tx_dbm()
+    }
+    fn node_tx_dbm(&self, node: NodeId) -> f64 {
+        self.inner.node_tx_dbm(node)
     }
     fn rx_sensitivity_dbm(&self) -> f64 {
         self.inner.rx_sensitivity_dbm()
@@ -283,6 +289,33 @@ mod tests {
         // the chain forces node 2 to hear from node 1, not 0
         let parent_of_2 = tree.iter().find(|(_, c)| *c == 2).map(|(p, _)| *p);
         assert_eq!(parent_of_2, Some(1));
+    }
+
+    #[test]
+    fn tracing_does_not_change_a_heterogeneous_run() {
+        // The source sits in the 20 dBm group: a tracer that dropped the
+        // node's power class would flood at the radio default instead.
+        let mut spec = crate::world::DenseScenario::parse_spec("100@200+50:still:20dbm")
+            .unwrap()
+            .world_spec(0);
+        let loud = spec
+            .groups
+            .iter()
+            .position(|g| g.tx_power_dbm == Some(20.0))
+            .unwrap();
+        spec.source = spec.groups[..loud].iter().map(|g| g.n).sum();
+        let n = spec.n_nodes();
+        let plain = Simulator::from_world(&spec, Flooding::new(n, (0.0, 0.05))).run();
+        let log = TraceLog::new();
+        let traced = Traced::new(Flooding::new(n, (0.0, 0.05)), log.clone());
+        let report = Simulator::from_world(&spec, traced).run();
+        assert_eq!(report.broadcast, plain.broadcast);
+        assert_eq!(report.counters, plain.counters);
+        assert_eq!(
+            log.transmissions()[0].1,
+            20.0,
+            "the source floods at its class"
+        );
     }
 
     #[test]

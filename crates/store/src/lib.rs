@@ -30,7 +30,7 @@
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Namespaced byte-oriented key-value persistence.
@@ -96,8 +96,10 @@ pub fn validate_component(s: &str, allow_empty: bool) -> io::Result<()> {
 /// an atomic rename, so a crash mid-`put` never leaves a torn value for
 /// the next process to read — the same discipline the eval-cache flush
 /// has always used. The temp file is fsynced before the rename and the
-/// directory after it, so a `put` that returned survives a power loss
-/// too; each call writes its own temp file (process id plus a
+/// directory after it, and a directory `put` creates (the namespace, the
+/// root, any missing ancestor) is fsynced into its parent, so a `put` that
+/// returned survives a power loss too; `delete` fsyncs the directory after
+/// the unlink. Each call writes its own temp file (process id plus a
 /// per-process counter), so concurrent `put`s of one key never share one.
 #[derive(Debug, Clone)]
 pub struct DiskStorage {
@@ -145,7 +147,7 @@ impl Storage for DiskStorage {
     fn put(&self, namespace: &str, key: &str, value: &[u8]) -> io::Result<()> {
         let path = self.file(namespace, key)?;
         let dir = self.dir(namespace);
-        std::fs::create_dir_all(&dir)?;
+        create_dir_synced(&dir)?;
         // Relaxed: the counter only has to hand out distinct numbers.
         static PUTS: AtomicU64 = AtomicU64::new(0);
         let n = PUTS.fetch_add(1, Ordering::Relaxed);
@@ -190,10 +192,30 @@ impl Storage for DiskStorage {
     fn delete(&self, namespace: &str, key: &str) -> io::Result<bool> {
         let path = self.file(namespace, key)?;
         match std::fs::remove_file(&path) {
-            Ok(()) => Ok(true),
+            Ok(()) => sync_dir(&self.dir(namespace)).map(|()| true),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e),
         }
+    }
+}
+
+/// Creates `dir` and any missing ancestors, fsyncing the parent of each
+/// directory it creates so the new entry survives a power loss. A
+/// directory that already exists costs one `stat`.
+fn create_dir_synced(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    let parent = match dir.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    create_dir_synced(parent)?;
+    match std::fs::create_dir(dir) {
+        // A racing `put` may have created it and not yet synced the
+        // parent: syncing again is cheap and keeps this call durable.
+        Err(e) if !(e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir()) => Err(e),
+        _ => sync_dir(parent),
     }
 }
 
@@ -342,6 +364,23 @@ mod tests {
         assert_eq!(dot_files(&root.join("ns")), Vec::<String>::new());
         assert_eq!(dot_files(&root), Vec::<String>::new());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn put_into_a_fresh_nested_namespace_round_trips() {
+        // Neither the root nor its parent exists: `put` creates (and
+        // syncs) every level.
+        let base = temp_root("nested");
+        let root = base.join("a").join("b");
+        let s = DiskStorage::new(&root);
+        s.put("ns", "k", b"deep").unwrap();
+        assert_eq!(s.get("ns", "k").unwrap().as_deref(), Some(&b"deep"[..]));
+        assert_eq!(s.scan("ns").unwrap(), vec!["k"]);
+        assert_eq!(dot_files(&root.join("ns")), Vec::<String>::new());
+        assert_eq!(dot_files(&root), Vec::<String>::new());
+        assert!(s.delete("ns", "k").unwrap());
+        assert_eq!(s.scan("ns").unwrap(), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

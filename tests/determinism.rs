@@ -267,3 +267,100 @@ fn sharded_halo_never_drops_a_receiver_at_stripe_edges() {
         );
     }
 }
+
+/// Flooding with jittered relays that logs every neighbour-table read:
+/// each callback reads its node's table and folds the time, the node and
+/// every entry into an FNV-1a digest the caller keeps a handle to.
+struct ReadLogger {
+    seen: Vec<bool>,
+    buf: Vec<manet::neighbor::NeighborEntry>,
+    log: std::rc::Rc<std::cell::Cell<(u64, u64)>>,
+}
+
+impl ReadLogger {
+    fn read(&mut self, node: usize, api: &mut dyn ProtocolApi) {
+        api.neighbors_into(node, &mut self.buf);
+        let (mut digest, reads) = self.log.get();
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        fold(api.now().to_bits());
+        fold(node as u64);
+        for e in &self.buf {
+            fold(e.id as u64);
+            fold(e.rx_dbm.to_bits());
+            fold(e.tx_dbm.to_bits());
+            fold(e.last_seen.to_bits());
+        }
+        self.log.set((digest, reads + 1));
+    }
+}
+
+impl Protocol for ReadLogger {
+    fn on_start(&mut self, node: usize, api: &mut dyn ProtocolApi) {
+        self.seen[node] = true;
+        self.read(node, api);
+        let p = api.node_tx_dbm(node);
+        api.transmit(node, p);
+    }
+
+    fn on_receive(&mut self, node: usize, _: usize, _: f64, api: &mut dyn ProtocolApi) {
+        self.read(node, api);
+        if !std::mem::replace(&mut self.seen[node], true) {
+            let delay = 0.01 + 0.2 * api.rand();
+            api.set_timer(node, delay, 0);
+        }
+    }
+
+    fn on_timer(&mut self, node: usize, _: u64, api: &mut dyn ProtocolApi) {
+        self.read(node, api);
+        let p = api.node_tx_dbm(node);
+        api.transmit(node, p);
+    }
+}
+
+#[test]
+fn neighbour_reads_agree_across_delivery_modes() {
+    // Beacon receptions no protocol can read are never written to the
+    // neighbour tables. Every delivery path applies that rule on its own
+    // (the sharded one when it defers a frame end), so every read a
+    // protocol makes must return the same entries under each of them.
+    let mut radio = manet::radio::RadioConfig::paper();
+    radio.shadowing_sigma_db = 4.0;
+    let shadowed = WorldSpec::builder()
+        .area(600.0, 600.0)
+        .radio(radio)
+        .group(NodeGroup::new(70))
+        .group(NodeGroup::new(30).tx_power_dbm(10.0))
+        .seed(5)
+        .build()
+        .expect("valid world");
+    let paper = Scenario::paper(Density::D300).sim_config(2).to_world();
+    for world in [paper, shadowed] {
+        let n = world.n_nodes();
+        let mut logs = Vec::new();
+        for (mode, shards) in [
+            (DeliveryMode::Incremental, 1),
+            (DeliveryMode::Naive, 1),
+            (DeliveryMode::Incremental, 2),
+        ] {
+            let log = std::rc::Rc::new(std::cell::Cell::new((0xcbf2_9ce4_8422_2325, 0)));
+            let protocol = ReadLogger {
+                seen: vec![false; n],
+                buf: Vec::new(),
+                log: log.clone(),
+            };
+            let mut sim = Simulator::from_world(&world, protocol);
+            sim.set_delivery_mode(mode);
+            sim.set_delivery_shards(shards);
+            let report = sim.run_to_end();
+            logs.push((log.get(), report.counters));
+        }
+        let (reads, sigma) = (logs[0].0 .1, world.radio.shadowing_sigma_db);
+        assert!(reads > n as u64, "only {reads} reads, sigma {sigma}");
+        assert_eq!(logs[0], logs[1], "incremental vs naive, sigma {sigma}");
+        assert_eq!(logs[0], logs[2], "sequential vs 2 stripes, sigma {sigma}");
+    }
+}

@@ -1011,11 +1011,6 @@ proptest! {
                         prop_assert_eq!(table.len(), live(&ever, now).len());
                     }
                 }
-                7 => {
-                    table.forget(id);
-                    stored.remove(&id);
-                    ever.remove(&id);
-                }
                 _ => {
                     table.live_into(now, &mut out);
                     prop_assert_eq!(&out, &live(&ever, now));
