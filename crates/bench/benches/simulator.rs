@@ -190,10 +190,10 @@ fn bench_candidate_filter(c: &mut Criterion) {
         probe.source = 0;
         Simulator::new(probe, manet::protocol::SourceOnly).grid_cell_size()
     };
-    let mut grid = SpatialGrid::new(field, cell);
-    grid.rebuild(n, 0.0, |i| mobility[i].position(0.0));
     let mut snap = KinematicSnapshot::new(field);
     snap.rebuild(field, mobility.iter().map(|m| m.segment()));
+    let mut grid = SpatialGrid::new(field, cell);
+    grid.rebuild(&snap, 0.0);
     // Query within the bucket-slack window: the live simulator guarantees
     // buckets lag true positions by at most 0.1 m (via cell-crossing
     // refresh events, which this standalone harness does not replay), and
@@ -257,12 +257,13 @@ fn bench_candidate_filter(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR-7 tentpole in isolation: the batched lane sweep
-/// ([`manet::DeliverySweep`]) against the scalar per-candidate filter it
-/// replaced, over one large walk-mobility world at the XL density
-/// (400 dev/km²). Both paths answer the same query over the same grid and
-/// snapshot — bit-identical survivors — so the ratio is pure filter
-/// mechanics: gather layout, chunked kernels and event-horizon culling.
+/// The delivery filter in isolation: the row-range stream
+/// ([`manet::DeliverySweep`]) against the scalar per-candidate filter,
+/// over one large walk-mobility world at the XL density (400 dev/km²).
+/// Both paths answer the same query over the same grid and snapshot —
+/// bit-identical survivors — so the ratio is pure filter mechanics: one
+/// contiguous run of records per cell row and a bitset emit, against a
+/// per-cell walk, id-indexed lane reads and a sort.
 fn bench_lane_sweep(c: &mut Criterion) {
     use manet::geometry::{Field, Vec2};
     use manet::grid::SpatialGrid;
@@ -299,10 +300,10 @@ fn bench_lane_sweep(c: &mut Criterion) {
         probe.source = 0;
         Simulator::new(probe, manet::protocol::SourceOnly).grid_cell_size()
     };
-    let mut grid = SpatialGrid::new(field, cell);
-    grid.rebuild(n, 0.0, |i| mobility[i].position(0.0));
     let mut snap = KinematicSnapshot::new(field);
     snap.rebuild(field, mobility.iter().map(|m| m.segment()));
+    let mut grid = SpatialGrid::new(field, cell);
+    grid.rebuild(&snap, 0.0);
     // Same staleness argument as `candidate_filter`: buckets from t = 0
     // stay exact-within-slack at this query time.
     let t = 0.05;
@@ -332,7 +333,7 @@ fn bench_lane_sweep(c: &mut Criterion) {
     });
     g.bench_function("batched", |b| {
         let mut sweep = DeliverySweep::new();
-        sweep.reset(grid.geometry().n_cells(), n);
+        sweep.reset(n);
         let mut out: Vec<(usize, Vec2, f64)> = Vec::new();
         b.iter(|| {
             let mut total = 0usize;

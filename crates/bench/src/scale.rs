@@ -34,9 +34,9 @@
 //! | `incremental_filter_s`, `incremental_outcome_s` | candidate-filter vs receive-outcome split of the incremental query (`Simulator::query_profile`) |
 //! | `incremental_interference_s` | interference+capture share of `incremental_outcome_s` (the phase the spatialised active window optimises; always ≤ the outcome time) |
 //! | `rebuild_filter_s`, `rebuild_outcome_s` | the same split for the horizon-rebuild baseline, whose verbatim single-loop shape has no finer split |
-//! | `incremental_bucket_ops`, `rebuild_bucket_ops` | grid-maintenance bucket membership writes per mode |
-//! | `sweep_cells_visited`, `sweep_cells_culled` | **new in v5**: non-empty cells the incremental run's batched sweep reached, and how many the event horizon skipped whole ([`manet::SweepStats`]; culled ≤ visited) |
-//! | `sweep_batched_candidates`, `sweep_scalar_candidates` | **new in v5**: candidates evaluated by full-width chunk kernels vs the scalar fallback (mixed-kind chunks + per-query tails) |
+//! | `incremental_bucket_ops`, `rebuild_bucket_ops` | grid cell-membership changes per mode ([`manet::GridStats`]) |
+//! | `sweep_cells_visited`, `sweep_cells_culled` | **new in v5**: cells covered by the incremental filter's streamed row ranges, empty ones included, and a culled count that is always 0 since the event-horizon cull was removed ([`manet::SweepStats`]; culled ≤ visited) |
+//! | `sweep_batched_candidates`, `sweep_scalar_candidates` | **new in v5**: candidates evaluated straight from their cell-ordered records (walk, still) vs on the scalar path (waypoint legs) |
 //! | `peak_rss_bytes` | process peak RSS high-water mark when the row finished ([`peak_rss_bytes`]) |
 //! | `speedup_rebuild_over_incremental`, `speedup_naive_over_incremental`, `speedup_sharded_over_incremental` | the headline ratios CI's perf gate checks against committed floors — derived by the emitter from the wall-time columns, never hand-set (`speedup_sharded_over_incremental` = `incremental_s / sharded_s`, `null` when unsharded) |
 //!
@@ -115,11 +115,11 @@ pub struct ScaleRow {
     pub rebuild_filter_s: f64,
     /// Receive-outcome share of the rebuild query.
     pub rebuild_outcome_s: f64,
-    /// Grid bucket membership writes, incremental mode.
+    /// Grid cell-membership changes, incremental mode.
     pub incremental_bucket_ops: u64,
-    /// Grid bucket membership writes, rebuild mode.
+    /// Grid cell-membership changes, rebuild mode.
     pub rebuild_bucket_ops: u64,
-    /// Batched-sweep work counters from the incremental run.
+    /// Candidate-filter work counters from the incremental run.
     pub sweep: SweepStats,
     /// Process peak RSS when the row finished.
     pub peak_rss_bytes: Option<u64>,

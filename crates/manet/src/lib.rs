@@ -21,11 +21,11 @@
 //!   algorithms implement (AEDB lives in the `aedb` crate; a flooding
 //!   baseline ships here),
 //! * [`snapshot`] — flat structure-of-arrays kinematic snapshots of every
-//!   node's current mobility segment, the cache-friendly data the delivery
-//!   query filters candidates against,
-//! * [`sweep`] — the batched candidate filter: fixed-width lane sweeps
-//!   over the snapshot (SIMD-friendly, bit-identical to the scalar
-//!   filter) plus per-cell event-horizon culling,
+//!   node's current mobility segment, evaluating exact positions
+//!   bit-identically to the mobility models,
+//! * [`sweep`] — the delivery query's candidate filter: one contiguous
+//!   run of the grid's cell-ordered records per cell row of the decode
+//!   disc (bit-identical to the scalar per-cell filter),
 //! * [`sim`] — the simulator proper: beaconing, half-duplex radios,
 //!   collision/capture modelling, timers and metric collection,
 //! * [`world`] — the declarative scenario API: a validated
@@ -63,5 +63,5 @@ pub use protocol::{Protocol, ProtocolApi};
 pub use radio::{dbm_to_mw, mw_to_dbm, PathLoss, RadioConfig, SHADOW_TAIL_SIGMAS};
 pub use shard::ShardPool;
 pub use sim::{DeliveryMode, NodeId, SimConfig, Simulator, GRID_BUCKET_SLACK_M};
-pub use sweep::{DeliverySweep, SweepStats, SWEEP_WIDTH};
+pub use sweep::{DeliverySweep, SweepStats};
 pub use world::{DenseScenario, GroupPlacement, NodeGroup, WorldSpec};

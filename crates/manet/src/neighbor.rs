@@ -48,7 +48,23 @@
 //! during the warm-up finds them empty.
 
 use crate::sim::NodeId;
-use crate::sweep::prefetch;
+
+/// Hints the CPU to start loading the cache line at `p` without blocking,
+/// for the latency-bound walk over scattered tables in [`observe_all`].
+/// Purely a latency hint: cache state is the only effect, so no computed
+/// value can change.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch is side-effect-free and architecturally valid for
+    // any address, even an unmapped one.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch(p.cast::<i8>(), _MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// What a node knows about one neighbour.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -27,16 +27,18 @@
 //!   through **event-driven cell transitions**: every node schedules a
 //!   refresh at the earliest time it could cross its current cell
 //!   boundary (`distance-to-edge / segment-speed`), and each refresh
-//!   moves the node between cell lists in O(1). Total maintenance is
-//!   proportional to actual cell crossings — orders of magnitude less
-//!   work than the [`DeliveryMode::HorizonRebuild`] baseline, which
-//!   re-buckets all `n` nodes every `GRID_REBUILD_HORIZON` seconds.
+//!   moves the node to its new cell by a short swap chain in the grid's
+//!   cell-ordered slot store. Total maintenance is proportional to
+//!   actual cell crossings — orders of magnitude less work than the
+//!   [`DeliveryMode::HorizonRebuild`] baseline, which re-sorts all `n`
+//!   nodes every `GRID_REBUILD_HORIZON` seconds.
 //! * the **SoA kinematic snapshot** ([`crate::snapshot`]): flat per-node
 //!   lanes of every mobility segment (origin, velocity/displacement,
 //!   start, arrival), refreshed in O(1) from the same mobility-change
-//!   events that re-anchor the grid schedule. The incremental delivery
-//!   query walks grid cells *directly* into a filter over these lanes
-//!   (no intermediate id list, no per-candidate `dyn Mobility` dispatch)
+//!   events that re-anchor the grid schedule, and mirrored record by
+//!   record in the grid's slot store. The incremental delivery query
+//!   streams one contiguous run of records per cell row of its decode
+//!   disc ([`crate::sweep`]; no per-candidate `dyn Mobility` dispatch)
 //!   and hands each survivor's exact position and squared distance
 //!   straight to the outcome test, whose arithmetic is bit-identical to
 //!   the historical per-receiver path.
@@ -509,7 +511,7 @@ struct World {
 }
 
 /// The mutable per-worker state of the snapshot delivery pipeline: the
-/// batched candidate sweep, the query scratch buffers, the per-receiver
+/// candidate filter's bitsets, the query scratch buffers, the per-receiver
 /// shadowing cache and the accumulated [`QueryProfile`].
 ///
 /// The sequential path owns one instance (`World::scratch`); the sharded
@@ -520,9 +522,9 @@ struct World {
 /// cannot change any outcome.
 #[derive(Debug)]
 struct QueryScratch {
-    /// The batched candidate filter (fixed-width lane sweeps over the
-    /// snapshot plus the per-cell event-horizon cache) driving the
-    /// incremental delivery query — see [`crate::sweep`].
+    /// The candidate filter (a stream over the grid's cell-ordered
+    /// records) driving the incremental delivery query — see
+    /// [`crate::sweep`].
     sweep: DeliverySweep,
     /// Scratch: `(id, exact position, squared distance)` of candidates
     /// surviving the snapshot filter — the position and distance feed
@@ -583,10 +585,10 @@ impl Default for QueryScratch {
 }
 
 impl QueryScratch {
-    /// Re-arms the scratch for a world of `n_cells` grid cells and
-    /// `n_nodes` nodes, keeping allocations.
-    fn reset(&mut self, n_cells: usize, n_nodes: usize) {
-        self.sweep.reset(n_cells, n_nodes);
+    /// Re-arms the scratch for a world of `n_nodes` nodes, keeping
+    /// allocations.
+    fn reset(&mut self, n_nodes: usize) {
+        self.sweep.reset(n_nodes);
         self.filtered.clear();
         self.decodable.clear();
         self.kept.clear();
@@ -628,10 +630,10 @@ impl QueryScratch {
 /// The read-only inputs of a delivery query, shared by the sequential
 /// path and (frozen for the duration of a flush) by every shard worker.
 /// All references point into `World` state that only mutates on flush
-/// boundaries: grid updates, snapshot re-anchors and frame-window
-/// insertions come from events that force a flush before they dispatch
-/// (beacon *starts* are the one exception, argued safe in
-/// [`World::flush_sharded`]).
+/// boundaries: grid updates (slot-store moves and record overwrites),
+/// snapshot re-anchors and frame-window insertions come from events that
+/// force a flush before they dispatch (beacon *starts* are the one
+/// exception, argued safe in [`World::flush_sharded`]).
 struct QueryCtx<'a> {
     grid: &'a SpatialGrid,
     snapshot: &'a KinematicSnapshot,
@@ -928,16 +930,14 @@ impl World {
         // geometry — so every DeliveryMode processes an identical event
         // stream and parity comparisons are exact.
         let n = self.n_nodes;
-        let mobility = &self.mobility;
-        self.grid.rebuild(n, 0.0, |i| mobility[i].position(0.0));
         self.snapshot
-            .rebuild(self.spec.field, mobility.iter().map(|m| m.segment()));
-        let n_cells = self.grid.geometry().n_cells();
-        self.scratch.reset(n_cells, n);
+            .rebuild(self.spec.field, self.mobility.iter().map(|m| m.segment()));
+        self.grid.rebuild(&self.snapshot, 0.0);
+        self.scratch.reset(n);
         if let Some(sd) = &mut self.shard {
             sd.pending.clear();
             for w in &mut sd.workers {
-                w.scratch.reset(n_cells, n);
+                w.scratch.reset(n);
                 w.results.clear();
                 w.deliveries.clear();
                 w.tally = QueryTally::default();
@@ -973,7 +973,7 @@ impl World {
     }
 
     /// Handles a [`Event::GridRefresh`]: ignores it when stale, otherwise
-    /// applies the O(1) bucket move (incremental mode only — the other
+    /// applies the slot-store move (incremental mode only — the other
     /// modes keep their own maintenance discipline but see the same event
     /// stream) and schedules the next refresh.
     fn handle_grid_refresh(&mut self, node: NodeId, gen: u32) {
@@ -983,58 +983,26 @@ impl World {
         self.refresh_events += 1;
         if self.mode == DeliveryMode::Incremental {
             let p = self.mobility[node].position(self.queue.now());
-            if self.grid.update_node(node, p) {
-                // the node entered a new cell: its event-horizon bound no
-                // longer covers every member
-                let cell = self.grid.node_cell(node);
-                self.invalidate_sweep_cell(cell);
-            }
+            self.grid.update_node(node, p);
         }
         self.schedule_grid_refresh(node);
     }
 
     /// Re-anchors `node`'s refresh schedule after its mobility segment
-    /// changed: refreshes the node's SoA snapshot lanes in O(1) (every
-    /// mode — the snapshot must always mirror the mobility structs),
-    /// stale-marks any in-flight refresh, re-buckets the node at its
-    /// current (exact) position and schedules against the new speed.
+    /// changed: refreshes the node's SoA snapshot lanes and its grid
+    /// record in O(1) (in every mode, so both always mirror the mobility
+    /// structs), stale-marks any in-flight refresh, re-buckets the node at
+    /// its current (exact) position and schedules against the new speed.
     fn reanchor_grid_refresh(&mut self, node: NodeId) {
-        self.snapshot.set(node, self.mobility[node].segment());
+        let seg = self.mobility[node].segment();
+        self.snapshot.set(node, seg);
+        self.grid.set_segment(node, &seg);
         self.refresh_gen[node] = self.refresh_gen[node].wrapping_add(1);
         if self.mode == DeliveryMode::Incremental {
             let p = self.mobility[node].position(self.queue.now());
             self.grid.update_node(node, p);
-            // the node's speed/heading (and possibly cell) changed: the
-            // cached event horizon of the cell it now occupies is stale
-            let cell = self.grid.node_cell(node);
-            self.invalidate_sweep_cell(cell);
         }
         self.schedule_grid_refresh(node);
-    }
-
-    /// Invalidates one cell's cached event horizon in *every* sweep: the
-    /// sequential scratch plus, when sharding is active, each worker's
-    /// private sweep. The callers all run on flush boundaries
-    /// (mobility/refresh events force a flush first), so no batch is in
-    /// flight while a bound goes stale.
-    fn invalidate_sweep_cell(&mut self, cell: usize) {
-        self.scratch.sweep.invalidate_cell(cell);
-        if let Some(sd) = &mut self.shard {
-            for w in &mut sd.workers {
-                w.scratch.sweep.invalidate_cell(cell);
-            }
-        }
-    }
-
-    /// Invalidates every cached event horizon in every sweep (see
-    /// [`invalidate_sweep_cell`](Self::invalidate_sweep_cell)).
-    fn invalidate_sweep_all(&mut self) {
-        self.scratch.sweep.invalidate_all();
-        if let Some(sd) = &mut self.shard {
-            for w in &mut sd.workers {
-                w.scratch.sweep.invalidate_all();
-            }
-        }
     }
 
     fn position(&self, node: NodeId, t: f64) -> Vec2 {
@@ -1294,9 +1262,7 @@ impl World {
             DeliveryMode::HorizonRebuild => {
                 let t = tx.end;
                 if t - self.grid.built_at() > GRID_REBUILD_HORIZON {
-                    let mobility = &self.mobility;
-                    self.grid
-                        .rebuild(self.n_nodes, t, |i| mobility[i].position(t));
+                    self.grid.rebuild(&self.snapshot, t);
                 }
                 // A node bucketed at the last rebuild can have drifted at
                 // most v_max · staleness from its stored position.
@@ -1359,12 +1325,11 @@ impl World {
                 return;
             }
         }
-        let n_cells = self.grid.geometry().n_cells();
         let n = self.n_nodes;
         let workers = (0..shards)
             .map(|_| {
                 let mut w = ShardWorker::default();
-                w.scratch.reset(n_cells, n);
+                w.scratch.reset(n);
                 w
             })
             .collect();
@@ -1532,9 +1497,9 @@ const GRID_CELL_DIVISOR: f64 = 2.0;
 /// The snapshot delivery pipeline for one transmission — the single
 /// kernel behind **both** the sequential incremental path
 /// ([`World::compute_deliveries_snapshot`]) and every sharded worker
-/// ([`World::flush_sharded`]), so the two cannot drift: filter (batched
-/// sweep over the SoA lanes) → log-free decode → interference/capture per
-/// decodable receiver, exactly as documented on
+/// ([`World::flush_sharded`]), so the two cannot drift: filter (a stream
+/// over the grid's cell-ordered records) → log-free decode →
+/// interference/capture per decodable receiver, exactly as documented on
 /// [`World::compute_deliveries_snapshot`].
 ///
 /// Reads only the frozen [`QueryCtx`], mutates only the caller's
@@ -1555,12 +1520,10 @@ fn resolve_query(
     let profile_on = t_start.is_some();
     let mut filtered = std::mem::take(&mut s.filtered);
     filtered.clear();
-    // Buckets are exact up to the refresh slack; stored positions may
-    // be older than the bucket, so walk whole cells (inflated by the
-    // slack) and filter on *current* exact positions from the lanes —
-    // batched into fixed-width chunk kernels by the sweep, which also
-    // skips cells its event-horizon cache proves out of decode reach
-    // (see `crate::sweep` for the bit-exactness argument).
+    // Cells are exact up to the refresh slack; stored positions may be
+    // older than the cell, so stream whole cells (inflated by the slack)
+    // and filter on *current* exact positions from the records (see
+    // `crate::sweep` for the bit-exactness argument).
     let r = s.decode_radius(ctx.radio, tx);
     let t = tx.end;
     s.sweep.filter_into(
@@ -1574,9 +1537,8 @@ fn resolve_query(
     );
     // Ascending node order: delivery order feeds protocol callbacks
     // (and their RNG draws), so every mode must match the naive scan.
-    // The sweep evaluates its gathered ids in sorted order, so the
-    // survivors arrive exactly as the historical post-filter sort
-    // left them.
+    // The filter emits its survivors in ascending id order, exactly as
+    // the historical post-filter sort left them.
     debug_assert!(filtered.windows(2).all(|w| w[0].0 < w[1].0));
     let t_mid = profile_on.then(Instant::now);
 
@@ -1953,12 +1915,18 @@ impl<P: Protocol> Simulator<P> {
     pub fn set_delivery_mode(&mut self, mode: DeliveryMode) {
         if self.world.mode != mode {
             // Resolve any queued sharded batch under the mode its queries
-            // were deferred in, then drop the cached event horizons:
-            // another discipline may re-bucket nodes without per-cell
-            // notifications (horizon rebuilds), so no cached bound
-            // survives a mode switch.
+            // were deferred in.
             self.world.flush_sharded();
-            self.world.invalidate_sweep_all();
+            if mode == DeliveryMode::Incremental {
+                // The other disciplines leave the store as their last
+                // horizon rebuild placed it — up to a horizon stale, while
+                // the incremental filter trusts each node's cell to within
+                // the bucket slack. Re-sorting every node at its exact
+                // position now restores that; the already scheduled
+                // refreshes keep it from here on.
+                let now = self.world.queue.now();
+                self.world.grid.rebuild(&self.world.snapshot, now);
+            }
         }
         self.world.mode = mode;
     }
@@ -2019,21 +1987,20 @@ impl<P: Protocol> Simulator<P> {
         self.world.refresh_events
     }
 
-    /// Work counters of the batched candidate sweep since the last reset:
-    /// cells visited/culled and candidates evaluated by chunk kernels vs
-    /// the scalar fallback (all zero outside
-    /// [`DeliveryMode::Incremental`], which is the only path that
-    /// sweeps). Exported per row of the scale artifact.
+    /// Work counters of the candidate filter since the last reset: cells
+    /// covered by the streamed row ranges (`cells_culled` is always 0)
+    /// and candidates evaluated from their records vs on the scalar
+    /// waypoint path (all zero outside [`DeliveryMode::Incremental`],
+    /// which is the only path that streams). Exported per row of the
+    /// scale artifact.
     ///
     /// **Aggregation under sharding**: each shard worker sweeps with its
     /// own private counters; this returns the component-wise sum of the
     /// sequential sweep's counters plus every worker's, folded in
     /// worker-index order. Because query ownership is deterministic and
     /// u64 addition is associative and commutative, the total is
-    /// independent of thread interleaving — the same well-defined number
-    /// at any shard count (though *not* necessarily equal across shard
-    /// counts: each worker's event-horizon cache warms independently, so
-    /// culling opportunities differ).
+    /// independent of thread interleaving, and — since every query's
+    /// counts depend only on the query — the same at every shard count.
     pub fn sweep_stats(&self) -> SweepStats {
         let mut stats = self.world.scratch.sweep.stats();
         if let Some(sd) = &self.world.shard {

@@ -9,11 +9,13 @@
 //! candidate — a cache miss each at 10⁴ nodes. The snapshot instead keeps
 //! one flat lane per segment field ([`Vec2`] origins, [`Vec2`]
 //! velocities/displacements, `f64` segment starts and arrival times, plus
-//! a [`SegmentKind`] discriminant lane for heterogeneous worlds), so the
-//! candidate filter touches a handful of densely packed arrays with a
-//! single branch on the kind per candidate — perfectly predicted whenever
-//! a world (or a spatial neighbourhood of it) is dominated by one
-//! mobility model.
+//! a [`SegmentKind`] discriminant lane for heterogeneous worlds), indexed
+//! by node id. The delivery filter itself streams the cell-ordered copy
+//! of the hot fields ([`PackedSegment`]) that the spatial grid's slot
+//! store keeps, with a single branch on the kind per candidate —
+//! perfectly predicted whenever a world (or a spatial neighbourhood of
+//! it) is dominated by one mobility model — and falls back to these
+//! lanes for waypoint legs.
 //!
 //! Since the log-free receive-outcome rewrite, the squared distances this
 //! filter computes are not just a pre-filter input but the *decode test
@@ -34,12 +36,11 @@
 //! path produce the same results as the historical ones down to the last
 //! bit.
 //!
-//! The query side of the snapshot (`position`, the lane accessors the
-//! sweep kernels read) is `&self` with no interior mutability, so the
-//! space-sharded delivery path shares one snapshot read-only across all
-//! stripe workers while a batch resolves; mutation (`set`, `rebuild`)
-//! happens only between batches, on the event thread, after the workers
-//! have joined.
+//! The query side of the snapshot (`position`, `segment`) is `&self` with
+//! no interior mutability, so the space-sharded delivery path shares one
+//! snapshot read-only across all stripe workers while a batch resolves;
+//! mutation (`set`, `rebuild`) happens only between batches, on the event
+//! thread, after the workers have joined.
 //!
 //! [`Mobility::position`]: crate::mobility::Mobility::position
 //! [`PathLoss::threshold_band_sq`]: crate::radio::PathLoss::threshold_band_sq
@@ -47,17 +48,17 @@
 use crate::geometry::{Field, Vec2};
 use crate::mobility::{KinematicSegment, SegmentKind};
 
-/// One node's hot segment fields packed (and padded) into a single
-/// 64-byte cache line — the gather-friendly mirror of the SoA lanes.
+/// One node's hot segment fields plus its id, packed (and padded) into a
+/// single 64-byte cache line — the record the cell-ordered slot store of
+/// [`SpatialGrid`](crate::grid::SpatialGrid) keeps per node.
 ///
-/// The chunk kernels of [`crate::sweep`] evaluate candidates *gathered*
-/// by a spatial query, so every access is effectively random: reading
-/// the SoA lanes costs one cache line per lane touched (kind, origin,
-/// velocity, segment start — four lines per candidate at 10⁴+ nodes),
-/// while this record serves all four from one. The SoA lanes remain the
-/// canonical layout for sequential whole-world passes; the mirror is
-/// maintained in lockstep by [`KinematicSnapshot::rebuild`] and
-/// [`KinematicSnapshot::set`] and holds the **same `f64` values**, so
+/// The store holds these records in row-major cell order, so the
+/// delivery query streams the records of a decode disc's cell row as one
+/// contiguous run instead of gathering each candidate's segment from
+/// id-indexed lanes (one cache line per lane touched). A record carries
+/// its node id because its slot does not encode it. It holds the
+/// **same `f64` values** as the snapshot's lanes (built by
+/// [`PackedSegment::new`] from the same [`KinematicSegment`]), so
 /// kernels reading it stay bit-identical to
 /// [`KinematicSnapshot::position`].
 ///
@@ -75,30 +76,24 @@ pub struct PackedSegment {
     pub t0: f64,
     /// Waypoint arrival time (`+∞` otherwise).
     pub arrival: f64,
+    /// The node this record describes.
+    pub id: u32,
     /// Trajectory-family discriminant.
     pub kind: SegmentKind,
 }
 
-/// Read-only view of a [`KinematicSnapshot`]'s flat lanes, index-aligned
-/// by node id — what the fixed-width chunk kernels of [`crate::sweep`]
-/// iterate instead of going through the per-node accessors.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentLanes<'a> {
-    /// The simulation field (walk segments reflect off its walls).
-    pub field: Field,
-    /// Trajectory-family discriminant per node.
-    pub kinds: &'a [SegmentKind],
-    /// Segment origins (walk/waypoint) or fixed positions (still).
-    pub origin: &'a [Vec2],
-    /// Walk velocities / waypoint leg displacements (see
-    /// [`KinematicSegment::velocity`]).
-    pub velocity: &'a [Vec2],
-    /// Segment start times.
-    pub t0: &'a [f64],
-    /// Waypoint arrival times (`+∞` otherwise).
-    pub arrival: &'a [f64],
-    /// Waypoint destinations (`== origin` otherwise).
-    pub dest: &'a [Vec2],
+impl PackedSegment {
+    /// Node `id`'s record of segment `s`.
+    pub fn new(id: u32, s: &KinematicSegment) -> Self {
+        Self {
+            origin: s.origin,
+            velocity: s.velocity,
+            t0: s.t0,
+            arrival: s.arrival,
+            id,
+            kind: s.kind,
+        }
+    }
 }
 
 /// Flat per-node segment lanes (see the module docs). The
@@ -117,7 +112,6 @@ pub struct KinematicSnapshot {
     t0: Vec<f64>,
     arrival: Vec<f64>,
     dest: Vec<Vec2>,
-    packed: Vec<PackedSegment>,
 }
 
 impl KinematicSnapshot {
@@ -132,7 +126,6 @@ impl KinematicSnapshot {
             t0: Vec::new(),
             arrival: Vec::new(),
             dest: Vec::new(),
-            packed: Vec::new(),
         }
     }
 
@@ -161,7 +154,6 @@ impl KinematicSnapshot {
         self.t0.clear();
         self.arrival.clear();
         self.dest.clear();
-        self.packed.clear();
         for s in segs {
             self.kinds.push(s.kind);
             self.origin.push(s.origin);
@@ -169,13 +161,6 @@ impl KinematicSnapshot {
             self.t0.push(s.t0);
             self.arrival.push(s.arrival);
             self.dest.push(s.dest);
-            self.packed.push(PackedSegment {
-                origin: s.origin,
-                velocity: s.velocity,
-                t0: s.t0,
-                arrival: s.arrival,
-                kind: s.kind,
-            });
         }
     }
 
@@ -188,13 +173,6 @@ impl KinematicSnapshot {
         self.t0[i] = s.t0;
         self.arrival[i] = s.arrival;
         self.dest[i] = s.dest;
-        self.packed[i] = PackedSegment {
-            origin: s.origin,
-            velocity: s.velocity,
-            t0: s.t0,
-            arrival: s.arrival,
-            kind: s.kind,
-        };
     }
 
     /// The segment lanes of node `i`, reassembled (tests/diagnostics).
@@ -209,28 +187,9 @@ impl KinematicSnapshot {
         }
     }
 
-    /// Borrowed view of the raw segment lanes, consumed by the batched
-    /// candidate sweep ([`crate::sweep`]). The lanes are index-aligned:
-    /// entry `i` of every slice describes node `i`'s current segment, and
-    /// evaluating them per [`KinematicSegment`]'s contract reproduces
-    /// [`position`](Self::position) bit-for-bit.
-    /// The cache-line-packed mirror of the hot lanes (see
-    /// [`PackedSegment`]), index-aligned by node id. Holds the same
-    /// values as the lanes at all times.
-    pub fn packed(&self) -> &[PackedSegment] {
-        &self.packed
-    }
-
-    pub fn lanes(&self) -> SegmentLanes<'_> {
-        SegmentLanes {
-            field: self.field,
-            kinds: &self.kinds,
-            origin: &self.origin,
-            velocity: &self.velocity,
-            t0: &self.t0,
-            arrival: &self.arrival,
-            dest: &self.dest,
-        }
+    /// The field walk segments reflect off.
+    pub fn field(&self) -> Field {
+        self.field
     }
 
     /// Exact position of node `i` at time `t` — bit-identical to the

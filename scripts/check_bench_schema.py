@@ -18,7 +18,8 @@ broken profiler or a half-written emitter would violate:
     matches the row's nodes/density columns for homogeneous rows;
   * filter + outcome query time cannot exceed the mode's end-to-end time;
   * the interference phase is a sub-interval of the outcome phase;
-  * the event horizon cannot cull more cells than the sweep visited, and
+  * the filter cannot cull more cells than it visited (the cull is gone,
+    so new rows report 0 culled), and
     an incremental run that delivered anything must have swept candidates;
   * `shards` and `sharded_s` are null together or present together, with
     `shards` >= 2 when present (a 1-shard run is just the sequential path);

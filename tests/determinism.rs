@@ -151,14 +151,17 @@ fn fast99_design_is_reproducible() {
 
 #[test]
 fn event_horizon_culling_never_skips_a_decodable_receiver() {
-    // The PR-7 culling pin with the naive scan as oracle: a world of
-    // tight stationary clusters spread over a large field is the shape
-    // where the sweep's per-cell event horizon fires hardest (members
-    // hug one corner of their cell, so whole cells near the edge of the
-    // query disc are provably out of decode reach). If a bound were ever
-    // too tight — skipping a cell that still held a decodable receiver —
-    // the incremental run would lose deliveries the naive scan finds,
-    // and the metrics/counters below would split.
+    // A clustered-world pin with the naive scan as oracle: tight
+    // stationary clusters spread over a large field put receivers near
+    // the edges of query discs and leave many cells empty, so the
+    // incremental filter's row ranges start and end at cells whose
+    // members sit just in or just out of decode reach. (The world was
+    // built for the per-cell event-horizon cull, which skipped cells
+    // whose cached bound proved them out of reach; the filter no longer
+    // culls, and the pin now guards the row-range stream the same way.)
+    // If a range ever dropped a cell that held a decodable receiver, the
+    // incremental run would lose deliveries the naive scan finds, and
+    // the metrics/counters below would split.
     use manet::geometry::Vec2;
     use manet::mobility::MobilityModel;
     let mut groups: Vec<NodeGroup> = Vec::new();
@@ -205,12 +208,54 @@ fn event_horizon_culling_never_skips_a_decodable_receiver() {
     let (inc, sweep) = run(DeliveryMode::Incremental);
     let (naive, _) = run(DeliveryMode::Naive);
     assert!(
-        sweep.cells_culled > 0,
-        "scenario must actually exercise the event horizon (visited {})",
-        sweep.cells_visited
+        sweep.batched_candidates > 0 && sweep.cells_visited > 0,
+        "scenario must stream stationary and walking candidates: {sweep:?}"
     );
     assert_eq!(inc.broadcast, naive.broadcast, "culling lost a receiver");
     assert_eq!(inc.counters, naive.counters, "culling lost a receiver");
+}
+
+#[test]
+fn switching_back_to_incremental_mid_run_keeps_every_reception() {
+    // Horizon rebuilds leave the grid as their last rebuild placed it, up
+    // to a horizon stale, while the incremental filter trusts every
+    // node's cell to within the bucket slack. Fast walkers make that
+    // staleness cost whole cells, so a run that leaves the incremental
+    // discipline and comes back must re-place every node on re-entry or
+    // lose beacon receptions the naive scan finds — sequential and
+    // sharded alike.
+    for seed in 0..12 {
+        let world = WorldSpec::builder()
+            .area(600.0, 600.0)
+            .broadcast_window(12.0, 16.0)
+            .seed(seed)
+            .group(NodeGroup::new(150).speed_range(15.0, 20.0))
+            .build()
+            .expect("valid world");
+        let n = world.n_nodes();
+        let naive = {
+            let mut sim = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1)));
+            sim.set_delivery_mode(DeliveryMode::Naive);
+            sim.run_to_end()
+        };
+        for shards in [1usize, 2] {
+            let mut sim = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1)));
+            sim.set_delivery_shards(shards);
+            sim.run_until(3.0);
+            sim.set_delivery_mode(DeliveryMode::HorizonRebuild);
+            sim.run_until(7.9);
+            sim.set_delivery_mode(DeliveryMode::Incremental);
+            let report = sim.run_to_end();
+            assert_eq!(
+                report.counters, naive.counters,
+                "seed {seed}, {shards} shards"
+            );
+            assert_eq!(
+                report.broadcast, naive.broadcast,
+                "seed {seed}, {shards} shards"
+            );
+        }
+    }
 }
 
 #[test]

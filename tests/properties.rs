@@ -778,15 +778,15 @@ proptest! {
         cell in 20.0f64..80.0,
         n_queries in 2usize..6,
     ) {
-        // The PR-7 tentpole pin, posed directly on the filter pair (the
+        // The filter pin, posed directly on the filter pair (the
         // full-simulation version lives in the delivery-mode agreement
         // suites above): on random kinematic snapshots mixing all three
         // SegmentKinds — with some nodes placed exactly on cell
-        // boundaries — the batched lane sweep must return the *bit-exact*
+        // boundaries — the streaming filter must return the *bit-exact*
         // survivors, positions and squared distances of the scalar
         // per-candidate filter, across a sequence of queries with
-        // mid-sweep segment re-anchoring (grid moves + bound
-        // invalidation) between them.
+        // mid-sweep segment re-anchoring (record overwrites + grid moves)
+        // between them.
         use manet::geometry::{Field, Vec2};
         use manet::mobility::{KinematicSegment, SegmentKind};
         use manet::snapshot::KinematicSnapshot;
@@ -799,8 +799,8 @@ proptest! {
         let field = Field::new(side, side);
         // A segment anchored at `p` at time `t0`, of a random kind; the
         // waypoint leg is physically constructed (velocity = displacement,
-        // arrival from a real speed) so the event-horizon speed bound sees
-        // the same data shapes the simulator produces.
+        // arrival from a real speed) so the filter sees the same data
+        // shapes the simulator produces.
         let make_segment = |rng: &mut SmallRng, p: Vec2, t0: f64| {
             match rng.gen_range(0u32..3) {
                 0 => KinematicSegment {
@@ -852,9 +852,9 @@ proptest! {
         let mut snap = KinematicSnapshot::new(field);
         snap.rebuild(field, segs.iter().copied());
         let mut grid = SpatialGrid::new(field, cell);
-        grid.rebuild(n, 0.0, |i| starts[i]);
+        grid.rebuild(&snap, 0.0);
         let mut sweep = DeliverySweep::new();
-        sweep.reset(grid.geometry().n_cells(), n);
+        sweep.reset(n);
 
         let scalar = |grid: &SpatialGrid,
                       snap: &KinematicSnapshot,
@@ -899,14 +899,15 @@ proptest! {
             }
             // Mid-sweep re-anchoring: a few nodes get fresh segments at
             // the query time, anchored at their exact current position,
-            // with the same grid-move + bound-invalidation discipline the
-            // simulator follows (update, then invalidate the new cell).
+            // with the discipline the simulator follows (overwrite the
+            // record, then move the node to its cell).
             for _ in 0..rng.gen_range(0usize..4).min(n) {
                 let i = rng.gen_range(0..n);
                 let p = snap.position(i, t);
-                snap.set(i, make_segment(&mut rng, p, t));
+                let seg = make_segment(&mut rng, p, t);
+                snap.set(i, seg);
+                grid.set_segment(i, &seg);
                 grid.update_node(i, p);
-                sweep.invalidate_cell(grid.node_cell(i));
             }
         }
     }
